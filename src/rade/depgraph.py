@@ -108,29 +108,27 @@ def _find_cycle(graph: DependencyGraph) -> list[Node] | None:
     adjacency = defaultdict(list)
     for src, dep in graph.edges:
         adjacency[src].append(dep)
-    state: dict[Node, int] = {}  # 1 = on stack, 2 = done
-    stack: list[Node] = []
-
-    def visit(node: Node) -> list[Node] | None:
-        state[node] = 1
-        stack.append(node)
-        for nxt in sorted(adjacency[node]):
-            mark = state.get(nxt)
-            if mark == 1:
-                return stack[stack.index(nxt):] + [nxt]
-            if mark is None:
-                found = visit(nxt)
-                if found:
-                    return found
-        stack.pop()
-        state[node] = 2
-        return None
-
-    for node in sorted(graph.nodes):
-        if node not in state:
-            found = visit(node)
-            if found:
-                return found
+    state: dict[Node, int] = {}  # 1 = on the path, 2 = done
+    for root in sorted(graph.nodes):
+        if root in state:
+            continue
+        # Depth-first, with one iterator over sorted successors per path node.
+        state[root] = 1
+        path = [root]
+        pending = [iter(sorted(adjacency[root]))]
+        while pending:
+            for nxt in pending[-1]:
+                mark = state.get(nxt)
+                if mark == 1:
+                    return path[path.index(nxt):] + [nxt]
+                if mark is None:
+                    state[nxt] = 1
+                    path.append(nxt)
+                    pending.append(iter(sorted(adjacency[nxt])))
+                    break
+            else:
+                state[path.pop()] = 2
+                pending.pop()
     return None
 
 

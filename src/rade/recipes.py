@@ -213,6 +213,10 @@ class Corpus:
     root: Path
     recipes: dict[tuple[str, str], Recipe] = field(default_factory=dict)
     dirs: dict[tuple[str, str], str] = field(default_factory=dict)
+    _versions: dict[str, list[str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _indexed: int = field(default=0, init=False, repr=False, compare=False)
 
     def __contains__(self, key) -> bool:
         return key in self.recipes
@@ -224,7 +228,12 @@ class Corpus:
         return self.root / self.dirs[key]
 
     def versions_of(self, name: str) -> list[str]:
-        return [v for (n, v) in self.recipes if n == name]
+        if self._indexed != len(self.recipes):  # recipes are only ever added
+            self._versions = {}
+            for n, v in self.recipes:
+                self._versions.setdefault(n, []).append(v)
+            self._indexed = len(self.recipes)
+        return list(self._versions.get(name, ()))
 
 
 def scan_corpus(root: Path):

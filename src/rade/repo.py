@@ -117,6 +117,7 @@ class Transaction:
     id: str
     base: dict[str, CatalogEntry]
     staged: dict[str, _StagedFile] = field(default_factory=dict)
+    prefixes: set[str] = field(default_factory=set)
     state: str = "open"
 
 
@@ -127,6 +128,16 @@ def _check_repo_path(path: str) -> str:
     if any(part in ("", ".", "..") for part in parts):
         raise PathCollision(f"illegal repository path {path!r}")
     return path
+
+
+def _under(path: str, prefixes: set[str]) -> bool:
+    """True if ``path`` is one of ``prefixes`` or lies below one of them."""
+    while path not in prefixes:
+        cut = path.rfind("/")
+        if cut < 0:
+            return False
+        path = path[:cut]
+    return True
 
 
 class Repository:
@@ -240,9 +251,10 @@ class Repository:
     def stage(self, tx: Transaction, source: Path, repo_prefix: str) -> int:
         """Stage a directory tree (or single file) at ``repo_prefix``.
 
-        Executables keep their permission bit. Restaging identical content is
-        idempotent; different content at an already-staged path is a
-        PathCollision.
+        On publish the staged trees replace whatever the previous catalog
+        held under their prefixes. Executables keep their permission bit.
+        Restaging identical content is idempotent; different content at an
+        already-staged path is a PathCollision.
         """
         if tx.state != "open":
             raise TransactionInProgress(f"transaction {tx.id} is {tx.state}")
@@ -274,6 +286,7 @@ class Repository:
                 )
             tx.staged[repo_path] = _StagedFile(mode, sha, len(data), fs_path)
             count += 1
+        tx.prefixes.add(prefix)
         return count
 
     def publish(self, tx: Transaction, job_id: str) -> RepoHead:
@@ -288,7 +301,11 @@ class Repository:
         revision = head.revision + 1
         rev_data = _revision_bytes(revision)
 
-        entries = dict(tx.base)
+        entries = {
+            path: entry
+            for path, entry in tx.base.items()
+            if not _under(path, tx.prefixes)
+        }
         for repo_path, staged in tx.staged.items():
             ref = None if staged.mode == DIRECTORY else ObjectRef(staged.sha256, staged.size)
             entries[repo_path] = CatalogEntry(repo_path, staged.mode, ref)

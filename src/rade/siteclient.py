@@ -13,13 +13,20 @@ import subprocess
 from dataclasses import dataclass
 from pathlib import Path
 
-from .envtree import apply_directives, modulefile_rel, parse_directives, prefix_rel
-from .errors import IntegrityError, NotDelivered
+from .envtree import (
+    apply_directives,
+    env_var_name,
+    modulefile_rel,
+    parse_directives,
+    prefix_rel,
+)
+from .errors import IntegrityError, InvariantViolation, NotDelivered, RadeError
 from .repo import (
     DIRECTORY,
     EXECUTABLE,
     REVISION_FILE,
     Catalog,
+    CatalogEntry,
     RepoHead,
     Repository,
     sha256_hex,
@@ -29,12 +36,20 @@ from .targets import Target
 UNCHANGED = "unchanged"
 CHANGED = "changed"
 
+GENERATIONS = (".tree.a", ".tree.b")
+
 
 @dataclass
 class SyncReport:
+    """What one sync transferred and what it did to the spare tree: files
+    copied from ``objects/``, hard-linked from the live tree, and removed."""
+
     revision: int
     fetched_objects: int
     fetched_bytes: int
+    copied: int = 0
+    linked: int = 0
+    removed: int = 0
 
     def render(self) -> str:
         return (
@@ -54,13 +69,20 @@ class MveReport:
 class SiteCache:
     """Single-writer local mirror of one repository.
 
-    Layout: ``objects/`` holds verified content objects, ``tree/`` the
-    materialized catalog, ``head`` the last synced HEAD line.
+    Layout: ``objects/`` holds verified content objects. ``.tree.a`` and
+    ``.tree.b`` are two generations of the materialized catalog, and
+    ``.tree.<x>.catalog`` names the catalog its tree holds (absent while the
+    tree is being changed). ``tree`` is a relative symlink to the live
+    generation and ``head`` the last synced HEAD line. A sync rewrites the
+    spare generation, so a reader must not hold a tree path across two syncs.
+    Tree files are read-only: unchanged ones are shared by both generations.
     """
 
     def __init__(self, repo_path: Path, cache_root: Path):
         self.repo = Repository.open(Path(repo_path))
-        self.cache_root = Path(cache_root)
+        # Absolute, so the paths run_mve hands to the tests do not depend on
+        # their working directory; not resolved, so they go through ``tree``.
+        self.cache_root = Path(cache_root).absolute()
         self.objects_dir = self.cache_root / "objects"
         self.tree_root = self.cache_root / "tree"
         self.head_path = self.cache_root / "head"
@@ -77,13 +99,16 @@ class SiteCache:
         return RepoHead(ObjectRef(sha, int(size)), int(revision), job_id)
 
     def _store_head(self, head: RepoHead) -> None:
-        data = (
+        self._write_atomic(
+            self.head_path,
             f"{head.root_catalog.sha256} {head.root_catalog.size} "
-            f"{head.revision} {head.job_id}\n"
+            f"{head.revision} {head.job_id}\n",
         )
-        tmp = self.cache_root / ".head.tmp"
-        tmp.write_text(data, encoding="utf-8")
-        os.replace(tmp, self.head_path)
+
+    def _write_atomic(self, path: Path, text: str) -> None:
+        tmp = self.cache_root / ".write.tmp"
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
 
     # -- polling -----------------------------------------------------------
 
@@ -102,30 +127,29 @@ class SiteCache:
     # -- syncing -------------------------------------------------------------
 
     def sync(self, head: RepoHead | None = None) -> SyncReport:
-        """Fetch the objects this cache is missing and materialize the tree.
+        """Fetch the objects this cache is missing and bring the spare tree
+        to the head's catalog, then make it the live tree.
 
-        Any digest mismatch raises IntegrityError before the tree or recorded
-        head change, leaving the cache at its previous consistent state.
+        Any digest mismatch raises IntegrityError before a tree or the
+        recorded head change, leaving the cache at its previous consistent
+        state.
         """
         if head is None:
             head = self.repo.read_head()
-        catalog_data = self.repo.catalog_path(head.root_catalog.sha256).read_bytes()
-        if sha256_hex(catalog_data) != head.root_catalog.sha256:
-            raise IntegrityError(
-                f"catalog {head.root_catalog.sha256} fails its digest"
-            )
-        catalog = Catalog.parse(catalog_data)
+        wanted = self._catalog(head.root_catalog.sha256).by_path()
+        live = self._live_generation()
+        held = self._held(live) or {}
 
         fetched = 0
         fetched_bytes = 0
-        for entry in catalog.entries:
-            if entry.mode == DIRECTORY:
+        for path, entry in wanted.items():
+            if entry.mode == DIRECTORY or held.get(path) == entry:
                 continue
             sha = entry.object.sha256
             cached = self._cache_object_path(sha)
             if cached.is_file():
                 continue
-            data = self._read_repo_object(entry.path, sha, head)
+            data = self._read_repo_object(path, sha, head)
             if sha256_hex(data) != sha:
                 raise IntegrityError(f"object {sha} fails its digest")
             cached.parent.mkdir(parents=True, exist_ok=True)
@@ -135,13 +159,45 @@ class SiteCache:
             fetched += 1
             fetched_bytes += len(data)
 
-        self._materialize(catalog)
+        report = SyncReport(head.revision, fetched, fetched_bytes)
+        spare = GENERATIONS[1] if live == GENERATIONS[0] else GENERATIONS[0]
+        self._apply(spare, wanted, live, held, report)
+        self._write_atomic(self._marker(spare), head.root_catalog.sha256 + "\n")
+        link = self.cache_root / ".tree.new"
+        link.unlink(missing_ok=True)
+        os.symlink(spare, link)
+        if self.tree_root.is_dir() and not self.tree_root.is_symlink():
+            shutil.rmtree(self.tree_root)  # the tree of a single-tree cache
+        os.replace(link, self.tree_root)
         self._store_head(head)
-        return SyncReport(
-            revision=head.revision,
-            fetched_objects=fetched,
-            fetched_bytes=fetched_bytes,
-        )
+        return report
+
+    def _catalog(self, sha: str) -> Catalog:
+        data = self.repo.catalog_path(sha).read_bytes()
+        if sha256_hex(data) != sha:
+            raise IntegrityError(f"catalog {sha} fails its digest")
+        return Catalog.parse(data)
+
+    def _marker(self, generation: str) -> Path:
+        return self.cache_root / f"{generation}.catalog"
+
+    def _live_generation(self) -> str | None:
+        try:
+            name = os.readlink(self.tree_root)
+        except OSError:  # no tree yet, or the directory of a single-tree cache
+            return None
+        return name if name in GENERATIONS else None
+
+    def _held(self, generation: str | None) -> dict[str, CatalogEntry] | None:
+        """The entries a generation's tree holds, or None if there is no such
+        generation or its marker is missing or names no readable catalog."""
+        if generation is None:
+            return None
+        try:
+            sha = self._marker(generation).read_text(encoding="utf-8").strip()
+            return self._catalog(sha).by_path()
+        except (OSError, RadeError):
+            return None
 
     def _cache_object_path(self, sha: str) -> Path:
         return self.objects_dir / sha[:2] / sha[2:]
@@ -155,23 +211,85 @@ class SiteCache:
             raise IntegrityError(f"object {sha} missing from repository")
         return blob.read_bytes()
 
-    def _materialize(self, catalog: Catalog) -> None:
-        staging = self.cache_root / f".tree.{os.getpid()}.tmp"
-        if staging.exists():
-            shutil.rmtree(staging)
-        staging.mkdir()
-        for entry in catalog.entries:
-            dest = staging / entry.path
+    def _apply(
+        self,
+        spare: str,
+        wanted: dict[str, CatalogEntry],
+        live: str | None,
+        held: dict[str, CatalogEntry],
+        report: SyncReport,
+    ) -> None:
+        """Change the spare tree from the catalog its marker names to
+        ``wanted``. A tree without a marker is emptied first."""
+        root = self.cache_root / spare
+        # Replacements are staged outside the trees, on the same file system.
+        tmp = self.cache_root / ".file.tmp"
+        have = self._held(spare)
+        self._marker(spare).unlink(missing_ok=True)
+        if have is None:
+            for stale in self.cache_root.glob(".tree.*.tmp"):
+                shutil.rmtree(stale)  # staging left by a single-tree cache
+            tmp.unlink(missing_ok=True)
+            if root.exists():
+                shutil.rmtree(root)
+            root.mkdir()
+            have = {}
+
+        gone = [
+            path
+            for path, entry in have.items()
+            if path not in wanted
+            or (entry.mode == DIRECTORY) != (wanted[path].mode == DIRECTORY)
+        ]
+        emptied = set()
+        for path in gone:
+            if have[path].mode == DIRECTORY:
+                emptied.add(path)
+            else:
+                (root / path).unlink(missing_ok=True)
+            parts = path.split("/")
+            emptied.update("/".join(parts[:i]) for i in range(1, len(parts)))
+        keep = {path for path, entry in wanted.items() if entry.mode == DIRECTORY}
+        for path in sorted(emptied - keep, key=lambda p: p.count("/"), reverse=True):
+            try:
+                (root / path).rmdir()
+            except OSError:  # still holds entries
+                pass
+        report.removed = len(gone)
+
+        for path, entry in wanted.items():
+            if have.get(path) == entry:
+                continue
+            dest = root / path
             if entry.mode == DIRECTORY:
                 dest.mkdir(parents=True, exist_ok=True)
                 continue
             dest.parent.mkdir(parents=True, exist_ok=True)
-            shutil.copyfile(self._cache_object_path(entry.object.sha256), dest)
-            if entry.mode == EXECUTABLE:
-                dest.chmod(dest.stat().st_mode | 0o755)
-        if self.tree_root.exists():
-            shutil.rmtree(self.tree_root)
-        os.replace(staging, self.tree_root)
+            # A file the spare holds may share its inode with the live tree,
+            # so it is replaced by a rename, never written in place. A
+            # temporary left by a crash may be such a link too, so it is
+            # removed, never opened.
+            if path in have:
+                target = tmp
+                target.unlink(missing_ok=True)
+            else:
+                target = dest
+            if held.get(path) == entry and self._link(self.cache_root / live / path, target):
+                report.linked += 1
+            else:
+                shutil.copyfile(self._cache_object_path(entry.object.sha256), target)
+                os.chmod(target, 0o555 if entry.mode == EXECUTABLE else 0o444)
+                report.copied += 1
+            if target is not dest:
+                os.replace(target, dest)
+
+    @staticmethod
+    def _link(source: Path, dest: Path) -> bool:
+        try:
+            os.link(source, dest)
+        except OSError:  # a reader removed the live copy; use objects/ instead
+            return False
+        return True
 
     # -- minimum viable execution ---------------------------------------------
 
@@ -180,16 +298,18 @@ class SiteCache:
         head = self.last_head
         if head is None:
             raise NotDelivered("cache has never synced")
-        prefix = self.tree_root / prefix_rel(target, recipe.name, recipe.version)
+        rel = prefix_rel(target, recipe.name, recipe.version)
+        prefix = self.tree_root / rel
         module = self.tree_root / modulefile_rel(target, recipe.name, recipe.version)
         if not prefix.is_dir() or not module.is_file():
             raise NotDelivered(
                 f"{recipe.name}/{recipe.version} not delivered for "
                 f"{target.arch}-{target.os}-{target.site}"
             )
+        directives = parse_directives(module.read_text(encoding="utf-8"))
         env = apply_directives(
             {"PATH": "/usr/bin:/bin"},
-            parse_directives(module.read_text(encoding="utf-8")),
+            _relocate(directives, recipe.name, rel, str(prefix)),
         )
         chunks = []
         passed = True
@@ -217,6 +337,25 @@ class SiteCache:
             tests_run=tests_run,
             output="".join(chunks),
         )
+
+
+def _relocate(directives, name: str, rel: str, site_prefix: str):
+    """Point the directives at the site's copy of an installation.
+
+    The modulefile names the prefix it was built at with ``setenv
+    <NAME>_DIR``; every value at or under that prefix is moved to
+    ``site_prefix``.
+    """
+    var = f"{env_var_name(name)}_DIR"
+    built = next((d[2] for d in directives if d[:2] == ("setenv", var)), None)
+    if built is None or not (built == rel or built.endswith("/" + rel)):
+        raise InvariantViolation(f"modulefile does not set {var} to a prefix ending in {rel}")
+    return [
+        (*d[:2], site_prefix + d[2][len(built):])
+        if d[2] == built or d[2].startswith(built + "/")
+        else d
+        for d in directives
+    ]
 
 
 def poll_until_changed(cache: SiteCache, interval_s: float = 1.0, attempts: int = 1):

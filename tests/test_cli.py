@@ -116,6 +116,28 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "a/1.0" in err and "b/1.0" in err
 
+    def test_deep_chain_with_and_without_cycle(self, tmp_path, capsys):
+        ws = make_workspace(tmp_path, corpus=False)
+        kwargs = dict(
+            source_url="file:///srv/x.tar.gz",
+            sha256="0" * 64,
+            build_script="x\n",
+            check_script="x\n",
+            deploy_script="x\n",
+        )
+        names = [f"r{i:04d}" for i in range(5000)]
+        for name, dep in zip(names, names[1:]):
+            deps = [{"name": dep, "constraint": "=1.0"}]
+            write_recipe(ws.corpus_root, name, "1.0", dependencies=deps, **kwargs)
+        write_recipe(ws.corpus_root, names[-1], "1.0", **kwargs)
+        assert run_cli("validate", "--config", ws.config_path) == 0
+        assert capsys.readouterr().out.strip() == "OK 5000 recipes"
+
+        closing = [{"name": names[0], "constraint": "=1.0"}]
+        write_recipe(ws.corpus_root, names[-1], "1.0", dependencies=closing, **kwargs)
+        assert run_cli("validate", "--config", ws.config_path) == 1
+        assert capsys.readouterr().err.startswith("graph error: ")
+
     def test_every_offending_manifest_listed(self, tmp_path, capsys):
         ws = make_workspace(tmp_path, corpus=False)
         for name in ("bad1", "bad2"):
@@ -194,6 +216,41 @@ class TestSyncAndMve:
             cache,
         )
         assert rc == 0
+        assert "MVE pass" in capsys.readouterr().out
+
+    def test_sync_then_mve_with_relative_cache(self, ws, capsys, monkeypatch):
+        event = write_event(ws.spool_dir / "e.json", "evt", ["hello/1.0/build.sh"])
+        run_cli("run", "--config", ws.config_path, "--event", event)
+        monkeypatch.chdir(ws.root)
+        assert run_cli("sync", "--repo", ws.repo_path, "--cache", "cache") == 0
+        rc = run_cli(
+            "mve", "hello/1.0", "--config", ws.config_path,
+            "--target", "x86_64-linux-sitea", "--cache", "cache",
+        )
+        assert rc == 0
+        assert "MVE pass" in capsys.readouterr().out
+
+    def test_mve_fails_when_the_site_copy_is_damaged(self, ws, capsys):
+        event = write_event(ws.spool_dir / "e.json", "evt", ["hello/1.0/build.sh"])
+        run_cli("run", "--config", ws.config_path, "--event", event)
+
+        def mve(cache):
+            return run_cli(
+                "mve", "hello/1.0", "--config", ws.config_path,
+                "--target", "x86_64-linux-sitea", "--cache", cache,
+            )
+
+        cache = ws.root / "cache"
+        run_cli("sync", "--repo", ws.repo_path, "--cache", cache)
+        binary = cache / "tree/x86_64/linux/sitea/hello/1.0/bin/hello"
+        binary.chmod(0o755)  # tree files are delivered read-only
+        binary.write_text("#!/bin/sh\necho garbage\n")
+        assert mve(cache) == 1
+        binary.unlink()
+        assert mve(cache) == 1
+        fresh = ws.root / "fresh-cache"
+        assert run_cli("sync", "--repo", ws.repo_path, "--cache", fresh) == 0
+        assert mve(fresh) == 0
         assert "MVE pass" in capsys.readouterr().out
 
     def test_sync_unchanged(self, ws, capsys):

@@ -140,6 +140,19 @@ class TestBuildGraph:
         assert cycle[0] == cycle[-1]
         assert {("a", "1.0"), ("b", "1.0")} == set(cycle[:-1])
 
+    def test_deep_chain_without_and_with_cycle(self):
+        names = [f"r{i:05d}" for i in range(6000)]
+        chain = [
+            make_recipe(name, "1.0", [(dep, "=1.0")])
+            for name, dep in zip(names, names[1:])
+        ]
+        graph = build_graph(make_corpus(*chain, make_recipe(names[-1], "1.0")))
+        assert len(graph.edges) == 5999
+        closing = make_recipe(names[-1], "1.0", [(names[0], "=1.0")])
+        with pytest.raises(DependencyCycle) as exc:
+            build_graph(make_corpus(*chain, closing))
+        assert exc.value.cycle == [(n, "1.0") for n in names + names[:1]]
+
     def test_unknown_dependency(self):
         corpus = make_corpus(make_recipe("app", "1.0", [("ghost", ">=1.0")]))
         with pytest.raises(UnknownDependency):

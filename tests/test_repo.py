@@ -195,6 +195,21 @@ class TestPublish:
         paths = set(repo.read_catalog(head.root_catalog).by_path())
         assert {"apps/one/f", "apps/two/g", ".revision"} <= paths
 
+    def test_restaged_prefix_drops_removed_files(self, repo, tmp_path):
+        tree = make_tree(tmp_path / "t", {"bin/a": "a", "bin/b": "b", "lib/c": "c"})
+        make_tree(tmp_path / "other", {"f": "kept"})
+        tx = repo.begin_transaction()
+        repo.stage(tx, tree, "apps/d")
+        repo.stage(tx, tmp_path / "other", "apps/other")
+        repo.publish(tx, "job-1")
+
+        (tree / "bin" / "b").unlink()
+        tx = repo.begin_transaction()
+        repo.stage(tx, tree, "apps/d")
+        head = repo.publish(tx, "job-2")
+        paths = set(repo.read_catalog(head.root_catalog).by_path())
+        assert paths == {"apps/d/bin/a", "apps/d/lib/c", "apps/other/f", ".revision"}
+
     def test_empty_dirs_preserved(self, repo, tmp_path):
         tree = tmp_path / "t"
         (tree / "bin").mkdir(parents=True)
