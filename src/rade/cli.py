@@ -111,24 +111,23 @@ def cmd_run(args) -> int:
 
 def cmd_validate(args) -> int:
     config = load_config(args.config)
-    failures = []
-    count = 0
-    for rel_dir, recipe, error in recipes.scan_corpus(config.corpus_root):
-        if error is not None:
-            failures.append(f"{rel_dir}/{recipes.MANIFEST_NAME}: {error}")
-        else:
-            count += 1
+    scanned = list(recipes.scan_corpus(config.corpus_root))
+    failures = [
+        f"{rel_dir}/{recipes.MANIFEST_NAME}: {error}"
+        for rel_dir, _, error in scanned
+        if error is not None
+    ]
     if failures:
         for line in failures:
             print(line, file=sys.stderr)
         return EXIT_JOB_FAILURE
     try:
-        corpus = recipes.load_corpus(config.corpus_root)
+        corpus = recipes.index_corpus(config.corpus_root, scanned)
         depgraph.build_graph(corpus)
     except RadeError as exc:
         print(f"graph error: {exc}", file=sys.stderr)
         return EXIT_JOB_FAILURE
-    print(f"OK {count} recipes")
+    print(f"OK {len(scanned)} recipes")
     return EXIT_OK
 
 

@@ -29,12 +29,32 @@ Node = tuple[str, str]
 class DependencyGraph:
     nodes: frozenset[Node]
     edges: frozenset[tuple[Node, Node]]
+    # Adjacency built once from ``edges``: sorted tuples per node, absent
+    # for a node without any.
+    deps: dict[Node, tuple[Node, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+    dependents: dict[Node, tuple[Node, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        deps, dependents = defaultdict(list), defaultdict(list)
+        for src, dep in self.edges:
+            deps[src].append(dep)
+            dependents[dep].append(src)
+        object.__setattr__(
+            self, "deps", {n: tuple(sorted(v)) for n, v in deps.items()}
+        )
+        object.__setattr__(
+            self, "dependents", {n: tuple(sorted(v)) for n, v in dependents.items()}
+        )
 
     def direct_deps(self, node: Node) -> list[Node]:
-        return sorted(dep for (src, dep) in self.edges if src == node)
+        return list(self.deps.get(node, ()))
 
     def direct_dependents(self, node: Node) -> list[Node]:
-        return sorted(src for (src, dep) in self.edges if dep == node)
+        return list(self.dependents.get(node, ()))
 
 
 @dataclass(frozen=True)
@@ -105,9 +125,6 @@ def build_graph(corpus: Corpus) -> DependencyGraph:
 
 
 def _find_cycle(graph: DependencyGraph) -> list[Node] | None:
-    adjacency = defaultdict(list)
-    for src, dep in graph.edges:
-        adjacency[src].append(dep)
     state: dict[Node, int] = {}  # 1 = on the path, 2 = done
     for root in sorted(graph.nodes):
         if root in state:
@@ -115,7 +132,7 @@ def _find_cycle(graph: DependencyGraph) -> list[Node] | None:
         # Depth-first, with one iterator over sorted successors per path node.
         state[root] = 1
         path = [root]
-        pending = [iter(sorted(adjacency[root]))]
+        pending = [iter(graph.deps.get(root, ()))]
         while pending:
             for nxt in pending[-1]:
                 mark = state.get(nxt)
@@ -124,7 +141,7 @@ def _find_cycle(graph: DependencyGraph) -> list[Node] | None:
                 if mark is None:
                     state[nxt] = 1
                     path.append(nxt)
-                    pending.append(iter(sorted(adjacency[nxt])))
+                    pending.append(iter(graph.deps.get(nxt, ())))
                     break
             else:
                 state[path.pop()] = 2
@@ -137,14 +154,11 @@ def rebuild_set(graph: DependencyGraph, changed: set[Node]) -> set[Node]:
     unknown = changed - graph.nodes
     if unknown:
         raise UnknownNode(f"not in graph: {sorted(unknown)}")
-    dependents = defaultdict(list)
-    for src, dep in graph.edges:
-        dependents[dep].append(src)
     result = set(changed)
     frontier = list(changed)
     while frontier:
         node = frontier.pop()
-        for dependent in dependents[node]:
+        for dependent in graph.dependents.get(node, ()):
             if dependent not in result:
                 result.add(dependent)
                 frontier.append(dependent)
@@ -158,23 +172,19 @@ def build_order(graph: DependencyGraph, subset: set[Node]) -> list[Node]:
     if unknown:
         raise UnknownNode(f"not in graph: {sorted(unknown)}")
     pending_deps: dict[Node, set[Node]] = {
-        node: {dep for (src, dep) in graph.edges if src == node and dep in subset}
+        node: {dep for dep in graph.deps.get(node, ()) if dep in subset}
         for node in subset
     }
-    dependents = defaultdict(list)
-    for src, dep in graph.edges:
-        if src in subset and dep in subset:
-            dependents[dep].append(src)
-
     ready = [node for node, deps in pending_deps.items() if not deps]
     heapq.heapify(ready)
     order: list[Node] = []
     while ready:
         node = heapq.heappop(ready)
         order.append(node)
-        for dependent in dependents[node]:
-            pending_deps[dependent].discard(node)
-            if not pending_deps[dependent]:
-                heapq.heappush(ready, dependent)
+        for dependent in graph.dependents.get(node, ()):
+            if dependent in subset:
+                pending_deps[dependent].discard(node)
+                if not pending_deps[dependent]:
+                    heapq.heappush(ready, dependent)
     assert len(order) == len(subset), "graph verified acyclic at construction"
     return order

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 
@@ -16,6 +18,7 @@ from .errors import (
     DuplicateRecipe,
     InvariantViolation,
     MalformedManifest,
+    RadeError,
     SchemaViolation,
 )
 from .targets import TargetPattern
@@ -106,7 +109,9 @@ def parse_manifest(text: str) -> Recipe:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and over-long integer literals;
+        # RecursionError comes from arrays or objects nested too deep.
         raise MalformedManifest(str(exc)) from exc
     if not isinstance(doc, dict):
         raise MalformedManifest("manifest must be a JSON object")
@@ -136,8 +141,11 @@ def parse_manifest(text: str) -> Recipe:
         deploy=_require(scripts_doc, "deploy", str, "scripts."),
     )
 
+    deps_doc = doc.get("dependencies", [])
+    if not isinstance(deps_doc, list):
+        raise SchemaViolation("field dependencies must be a list")
     dependencies = []
-    for i, dep_doc in enumerate(doc.get("dependencies", [])):
+    for i, dep_doc in enumerate(deps_doc):
         if not isinstance(dep_doc, dict):
             raise SchemaViolation(f"dependencies[{i}] must be an object")
         dep_name = _require(dep_doc, "name", str, f"dependencies[{i}].")
@@ -236,44 +244,98 @@ class Corpus:
         return list(self._versions.get(name, ()))
 
 
+def _find_manifests(root: Path) -> list[tuple[tuple[str, ...], str]]:
+    """Every manifest below ``root`` as ``(directory parts, path)``.
+
+    Finds what ``root.rglob(MANIFEST_NAME)`` finds: symlinked directories are
+    not descended, a directory that cannot be listed is skipped, and a
+    manifest name whose target does not exist (a dangling symlink) is left
+    out. One ``scandir`` per directory; its entry types stand in for stat
+    calls. The order is that of ``sorted()`` over the manifests' ``Path``s,
+    i.e. by path components, so ``a/b`` comes before ``a-b``.
+    """
+    found = []
+    if not root.is_dir():
+        return found
+    pending = [((), str(root))]
+    while pending:
+        parts, path = pending.pop()
+        try:
+            with os.scandir(path) as listing:
+                entries = list(listing)
+        except PermissionError:
+            continue
+        for entry in entries:
+            name = entry.name
+            if name == MANIFEST_NAME and (
+                not entry.is_symlink() or os.path.exists(entry.path)
+            ):
+                found.append((parts, entry.path))
+            if entry.is_dir(follow_symlinks=False):
+                pending.append((parts + (name,), entry.path))
+    found.sort(key=lambda item: item[0] + (MANIFEST_NAME,))
+    return found
+
+
+def _read_manifest(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedManifest(str(exc)) from exc
+
+
 def scan_corpus(root: Path):
     """Walk the corpus yielding ``(relative_dir, recipe_or_None, error_or_None)``
-    for every directory holding a manifest file."""
-    for manifest_path in sorted(root.rglob(MANIFEST_NAME)):
-        rel_dir = manifest_path.parent.relative_to(root).as_posix()
+    for every directory holding a manifest file.
+
+    ``relative_dir`` is ``"."`` for a manifest at the corpus root. A manifest
+    that cannot be read, decoded as UTF-8 or parsed is a
+    :class:`MalformedManifest`.
+    """
+    root = Path(root)
+    for parts, manifest_path in _find_manifests(root):
+        rel_dir = "/".join(parts) or "."
         try:
-            recipe = parse_manifest(manifest_path.read_text(encoding="utf-8"))
-            _check_recipe_files(recipe, manifest_path.parent)
+            recipe = parse_manifest(_read_manifest(manifest_path))
+            _check_recipe_files(recipe, root, rel_dir)
         except Exception as exc:  # noqa: BLE001 - reported per manifest
             yield rel_dir, None, exc
         else:
             yield rel_dir, recipe, None
 
 
-def _check_recipe_files(recipe: Recipe, recipe_dir: Path) -> None:
+def _check_recipe_files(recipe: Recipe, root: Path, rel_dir: str) -> None:
+    """Each phase script must be a non-empty regular file, after symlinks."""
     for label, rel in (
         ("build", recipe.scripts.build),
         ("check", recipe.scripts.check),
         ("deploy", recipe.scripts.deploy),
     ):
-        path = recipe_dir / rel
-        if not path.is_file() or path.stat().st_size == 0:
+        try:
+            st = os.stat(os.path.join(root, rel_dir, rel))
+            usable = stat.S_ISREG(st.st_mode) and st.st_size > 0
+        except (OSError, ValueError):  # ValueError: an embedded NUL byte
+            usable = False
+        if not usable:
             raise InvariantViolation(
-                f"{label} script {rel!r} missing or empty in {recipe_dir}"
+                f"{label} script {rel!r} missing or empty in {root / rel_dir}"
             )
 
 
-def load_corpus(root: Path) -> Corpus:
-    """Load and index every recipe below ``root``.
+def index_corpus(root: Path, scanned) -> Corpus:
+    """Index the ``scan_corpus`` results of ``root``.
 
-    Raises the first parse error (annotated with its corpus path) and rejects
-    duplicate (name, version) declarations.
+    Raises the first scan error, a :class:`RadeError` annotated with its
+    manifest path (anything else is a bug and is re-raised as it is), and
+    rejects duplicate (name, version) declarations.
     """
-    root = Path(root)
-    corpus = Corpus(root=root)
-    for rel_dir, recipe, error in scan_corpus(root):
-        if error is not None:
+    corpus = Corpus(root=Path(root))
+    for rel_dir, recipe, error in scanned:
+        if isinstance(error, RadeError):
             raise type(error)(f"{rel_dir}/{MANIFEST_NAME}: {error}") from error
+        if error is not None:
+            raise error
         if recipe.key in corpus.recipes:
             raise DuplicateRecipe(
                 f"{recipe.name}/{recipe.version} declared in both "
@@ -282,6 +344,11 @@ def load_corpus(root: Path) -> Corpus:
         corpus.recipes[recipe.key] = recipe
         corpus.dirs[recipe.key] = rel_dir
     return corpus
+
+
+def load_corpus(root: Path) -> Corpus:
+    """Load and index every recipe below ``root`` (see :func:`index_corpus`)."""
+    return index_corpus(root, scan_corpus(root))
 
 
 def _normalize(path: str) -> str:

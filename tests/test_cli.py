@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from rade import recipes
 from rade.cli import main
 from rade.repo import Repository
 from toycorpus import make_workspace, write_event, write_recipe
@@ -148,10 +149,50 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "bad1/1.0" in err and "bad2/1.0" in err
 
+    def test_each_manifest_parsed_once(self, ws, capsys, monkeypatch):
+        parsed = []
+        parse = recipes.parse_manifest
+
+        def counting_parse(text):
+            parsed.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(recipes, "parse_manifest", counting_parse)
+        assert run_cli("validate", "--config", ws.config_path) == 0
+        assert capsys.readouterr().out == "OK 3 recipes\n"
+        assert len(parsed) == 3
+
     def test_validate_mutates_nothing(self, ws):
         before = snapshot(ws.root)
         run_cli("validate", "--config", ws.config_path)
         assert snapshot(ws.root) == before
+
+
+UNREADABLE_MANIFESTS = {
+    "not_utf8": lambda path: path.write_bytes(b"\xff\xfe{}"),
+    "nested_too_deep": lambda path: path.write_text("[" * 100_000),
+    "directory": lambda path: path.mkdir(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_MANIFESTS))
+def test_unreadable_manifest_fails_with_its_path(ws, capsys, case):
+    broken = ws.corpus_root / "hello" / "broken"
+    broken.mkdir()
+    UNREADABLE_MANIFESTS[case](broken / "rade.json")
+    event = write_event(ws.spool_dir / "e.json", "evt", ["hello/1.0/build.sh"])
+    mve = ("hello/1.0", "--target", "x86_64-linux-sitea", "--cache", ws.root / "c")
+    for command, extra in (
+        ("run", ("--event", event)),
+        ("resolve", ("--event", event)),
+        ("mve", mve),
+    ):
+        assert run_cli(command, "--config", ws.config_path, *extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: hello/broken/rade.json: ")
+        assert err.count("\n") == 1
+    assert run_cli("validate", "--config", ws.config_path) == 1
+    assert capsys.readouterr().err.startswith("hello/broken/rade.json: ")
 
 
 class TestResolve:

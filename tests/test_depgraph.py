@@ -289,3 +289,18 @@ def test_rebuild_set_closed_under_dependents(seed):
     for dependent, dependency in graph.edges:
         if dependency in result:
             assert dependent in result
+
+
+def test_adjacency_matches_edge_scan_and_is_not_compared():
+    rng = random.Random(0xAD1)
+    for _ in range(100):
+        graph = random_dag(rng, max_nodes=8)
+        for node in graph.nodes:
+            assert graph.direct_deps(node) == sorted(
+                dep for (src, dep) in graph.edges if src == node
+            )
+            assert graph.direct_dependents(node) == sorted(
+                src for (src, dep) in graph.edges if dep == node
+            )
+        twin = DependencyGraph(nodes=graph.nodes, edges=graph.edges)
+        assert twin == graph and hash(twin) == hash(graph)

@@ -20,6 +20,7 @@ from rade.recipes import (
     mark_event_done,
     parse_manifest,
     pending_events,
+    scan_corpus,
 )
 from toycorpus import build_default_corpus, write_event, write_recipe
 
@@ -65,6 +66,19 @@ class TestParseManifest:
     def test_syntax_error_is_malformed(self):
         with pytest.raises(MalformedManifest):
             parse_manifest("{not json")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100_000, '{"name": ' + "1" * 5000 + "}"],
+        ids=["deep", "long-int"],
+    )
+    def test_unparseable_json_is_malformed(self, text):
+        with pytest.raises(MalformedManifest):
+            parse_manifest(text)
+
+    def test_dependencies_must_be_a_list(self):
+        with pytest.raises(SchemaViolation, match="dependencies must be a list"):
+            parse_manifest(minimal_manifest(dependencies=5))
 
     def test_bad_name_rejected(self):
         with pytest.raises(InvariantViolation):
@@ -153,6 +167,95 @@ class TestLoadCorpus:
         (recipe_dir / "build.sh").write_text("")
         with pytest.raises(InvariantViolation):
             load_corpus(corpus_root)
+
+
+def write_manifest_dir(recipe_dir, name, version="1.0"):
+    """A recipe directory holding a valid manifest and its three scripts."""
+    recipe_dir.mkdir(parents=True, exist_ok=True)
+    for script in ("build.sh", "check-build", "deploy.sh"):
+        (recipe_dir / script).write_text("x\n")
+    (recipe_dir / "rade.json").write_text(minimal_manifest(name=name, version=version))
+    return recipe_dir
+
+
+def scanned_dirs(root):
+    return [rel_dir for rel_dir, _, _ in scan_corpus(root)]
+
+
+class TestScanCorpus:
+    """Which manifests the scan finds, in which order, under which names."""
+
+    def test_manifest_at_root_and_three_levels_deep(self, tmp_path):
+        write_manifest_dir(tmp_path, "top")
+        write_manifest_dir(tmp_path / "a" / "b" / "c", "deep")
+        assert scanned_dirs(tmp_path) == ["a/b/c", "."]
+        corpus = load_corpus(tmp_path)
+        assert corpus.dirs == {("deep", "1.0"): "a/b/c", ("top", "1.0"): "."}
+        assert corpus.recipe_dir(("top", "1.0")) == tmp_path
+
+    def test_manifest_under_hidden_directory_is_found(self, tmp_path):
+        write_manifest_dir(tmp_path / ".hidden" / "1.0", "hidden")
+        assert scanned_dirs(tmp_path) == [".hidden/1.0"]
+
+    def test_symlinked_directory_is_not_descended(self, tmp_path):
+        write_manifest_dir(tmp_path / "real" / "1.0", "real")
+        (tmp_path / "alias").symlink_to(tmp_path / "real")
+        (tmp_path / "alias10").symlink_to(tmp_path / "real" / "1.0")
+        assert scanned_dirs(tmp_path) == ["real/1.0"]
+
+    def test_dangling_manifest_symlink_is_skipped(self, tmp_path):
+        write_manifest_dir(tmp_path / "real" / "1.0", "real")
+        ghost = tmp_path / "ghost" / "1.0"
+        ghost.mkdir(parents=True)
+        (ghost / "rade.json").symlink_to(ghost / "nowhere.json")
+        linked = write_manifest_dir(tmp_path / "linked" / "1.0", "linked")
+        (linked / "rade.json").unlink()
+        (linked / "rade.json").symlink_to(tmp_path / "real" / "1.0" / "rade.json")
+        assert scanned_dirs(tmp_path) == ["linked/1.0", "real/1.0"]
+
+    def test_order_is_by_path_components(self, tmp_path):
+        # As a string "a-b/..." sorts before "a/b/...", as components it does not.
+        write_manifest_dir(tmp_path / "a-b", "dup")
+        write_manifest_dir(tmp_path / "a" / "b", "dup")
+        write_manifest_dir(tmp_path / "a" / "b" / "c", "other")
+        assert scanned_dirs(tmp_path) == ["a/b/c", "a/b", "a-b"]
+        with pytest.raises(DuplicateRecipe) as info:
+            load_corpus(tmp_path)
+        assert str(info.value) == "dup/1.0 declared in both a/b and a-b"
+
+    def test_first_error_in_scan_order_is_raised(self, tmp_path):
+        for rel in ("a-b", "a/b"):
+            (tmp_path / rel).mkdir(parents=True)
+            (tmp_path / rel / "rade.json").write_text("{broken")
+        with pytest.raises(MalformedManifest, match=r"\Aa/b/rade.json: "):
+            load_corpus(tmp_path)
+
+    @pytest.mark.parametrize("shape", ["directory", "empty", "dangling"])
+    def test_script_that_is_not_a_nonempty_file_is_rejected(self, tmp_path, shape):
+        recipe_dir = write_manifest_dir(tmp_path / "odd" / "1.0", "odd")
+        script = recipe_dir / "check-build"
+        script.unlink()
+        if shape == "directory":
+            script.mkdir()
+            (script / "inner").write_text("x\n")
+        elif shape == "empty":
+            script.write_text("")
+        else:
+            script.symlink_to(recipe_dir / "nowhere")
+        with pytest.raises(InvariantViolation) as info:
+            load_corpus(tmp_path)
+        assert str(info.value) == (
+            f"odd/1.0/rade.json: check script 'check-build' missing or empty "
+            f"in {recipe_dir}"
+        )
+
+    def test_script_symlinked_to_a_nonempty_file_is_accepted(self, tmp_path):
+        recipe_dir = write_manifest_dir(tmp_path / "ok" / "1.0", "ok")
+        shared = tmp_path / "shared.sh"
+        shared.write_text("#!/bin/sh\n")
+        (recipe_dir / "deploy.sh").unlink()
+        (recipe_dir / "deploy.sh").symlink_to(shared)
+        assert list(load_corpus(tmp_path).recipes) == [("ok", "1.0")]
 
 
 @pytest.fixture
