@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .pipeline import OpsTest
+from .pipeline import RESERVED_ENV_NAMES, OpsTest
 from .targets import MatrixConfig
 
 CONFIG_ENV_VAR = "RADE_CONFIG"
@@ -97,6 +97,13 @@ def load_config(path: Path | None) -> OrchestratorConfig:
         raise ConfigError(f"{path}: missing config key {exc}") from exc
     except Exception as exc:  # noqa: BLE001 - surface any malformed field
         raise ConfigError(f"{path}: {exc}") from exc
+
+    for site in matrix.site_env:
+        reserved = sorted(RESERVED_ENV_NAMES.intersection(matrix.extra_env(site)))
+        if reserved:
+            raise ConfigError(
+                f"{path}: site_env for {site} binds reserved name {', '.join(reserved)}"
+            )
 
     if not config.corpus_root.is_dir():
         raise ConfigError(f"corpus_root does not exist: {config.corpus_root}")

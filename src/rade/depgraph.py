@@ -19,7 +19,7 @@ from .errors import (
     UnsatisfiableConstraint,
 )
 from .recipes import Corpus
-from .targets import Target
+from .targets import Target, target_id
 from .versions import VersionConstraint, max_version
 
 Node = tuple[str, str]
@@ -66,8 +66,6 @@ class BuildPlan:
     event_id: str = ""
 
     def lines(self) -> list[str]:
-        from .targets import target_id
-
         return [
             f"{name}/{version} {target_id(t)} {self.rationale[(name, version)]}"
             for name, version, t in self.jobs

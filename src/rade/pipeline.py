@@ -16,9 +16,11 @@ import subprocess
 import time
 import uuid
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import envtree  # looked up per call, so a wrapper set on the module applies
 from .depgraph import BuildPlan, DependencyGraph, build_order, rebuild_set
 from .envtree import (
     EnvTree,
@@ -66,38 +68,26 @@ _TRANSITIONS = {
     FAILED: set(),
 }
 
-_PHASE_OF_STATE = {BUILDING: "build", TESTING: "test", DELIVERING: "deliver"}
+# phase name -> (state while it runs, state once it succeeded)
+_PHASES = {
+    "build": (BUILDING, BUILT),
+    "test": (TESTING, TESTED),
+    "deliver": (DELIVERING, DELIVERED),
+}
 
+_PHASE_OF_STATE = {running: phase for phase, (running, _) in _PHASES.items()}
 
-@dataclass(frozen=True)
-class TestSpec:
-    origin: str  # internal | ops | researcher
-    command: str
+# Names that _phase_env binds itself; a site_env binding may not use them.
+RESERVED_ENV_NAMES = frozenset({
+    "PATH", "ARCH", "OS", "SITE", "SOURCE_DIR", "BUILD_DIR",
+    "INSTALL_PREFIX", "DEPLOY_PREFIX", "DEP_MODULE_PATH",
+})
 
 
 @dataclass(frozen=True)
 class OpsTest:
     name: str
     command: Path
-
-
-@dataclass(frozen=True)
-class PhaseEnvironment:
-    bindings: dict[str, str]
-
-    def validate(self, target: Target) -> None:
-        b = self.bindings
-        if (b.get("ARCH"), b.get("OS"), b.get("SITE")) != (
-            target.arch,
-            target.os,
-            target.site,
-        ):
-            raise InvariantViolation("phase environment disagrees with job target")
-        prefixes = [v for v in ("INSTALL_PREFIX", "DEPLOY_PREFIX") if v in b]
-        if len(prefixes) != 1:
-            raise InvariantViolation(
-                "exactly one of INSTALL_PREFIX/DEPLOY_PREFIX must be bound"
-            )
 
 
 @dataclass
@@ -234,13 +224,12 @@ class JobRunner:
 
     # -- environment -------------------------------------------------------
 
-    def _phase_env(self, job: Job, phase: str) -> PhaseEnvironment:
-        from .envtree import module_path_for_dependencies
-
-        tree = self.deploy if phase == "deliver" else self.integration
-        prefix_var = "DEPLOY_PREFIX" if phase == "deliver" else "INSTALL_PREFIX"
-        recipe = self._recipe(job)
-        dep_modules = module_path_for_dependencies(self.graph, recipe, tree, job.target)
+    def _phase_env(self, job: Job, tree: EnvTree) -> dict[str, str]:
+        """The child environment of a phase that installs into ``tree``."""
+        prefix_var = "DEPLOY_PREFIX" if tree.kind == envtree.DEPLOY else "INSTALL_PREFIX"
+        dep_modules = envtree.module_path_for_dependencies(
+            self.graph, self._recipe(job), tree, job.target
+        )
 
         env = {"PATH": SAFE_PATH}
         for module in dep_modules:
@@ -254,16 +243,13 @@ class JobRunner:
                 "SITE": job.target.site,
                 "SOURCE_DIR": str(self._source_dir(job)),
                 "BUILD_DIR": str(self._build_dir(job)),
-                prefix_var: str(
-                    prefix_for(tree, job.target, job.name, job.version)
-                ),
+                prefix_var: str(prefix_for(tree, job.target, job.name, job.version)),
                 "DEP_MODULE_PATH": os.pathsep.join(str(p) for p in dep_modules),
             }
         )
+        # load_config rejects site bindings of RESERVED_ENV_NAMES
         env.update(self.matrix.extra_env(job.target.site))
-        phase_env = PhaseEnvironment(env)
-        phase_env.validate(job.target)
-        return phase_env
+        return env
 
     # -- source fetching ---------------------------------------------------
 
@@ -299,7 +285,7 @@ class JobRunner:
 
     # -- script execution ----------------------------------------------------
 
-    def _run_script(self, job: Job, script: Path, env: PhaseEnvironment, cwd: Path) -> int:
+    def _run_script(self, job: Job, script: Path, env: dict[str, str], cwd: Path) -> int:
         """Run one phase script; captured output is appended to the job log."""
         script = Path(script)
         argv = [str(script)] if os.access(script, os.X_OK) else ["/bin/sh", str(script)]
@@ -311,7 +297,7 @@ class JobRunner:
                     argv,
                     stdout=fh,
                     stderr=subprocess.STDOUT,
-                    env=env.bindings,
+                    env=env,
                     cwd=cwd,
                     timeout=self.phase_timeout_s,
                 )
@@ -332,71 +318,70 @@ class JobRunner:
 
     # -- phases ---------------------------------------------------------------
 
+    @contextmanager
+    def _phase(self, job: Job, phase: str):
+        """Run the body as ``phase``: a RadeError fails the job there and propagates."""
+        running, done = _PHASES[phase]
+        job.transition(running)
+        self._log_line(job, f"=== PHASE {phase} ===")
+        try:
+            yield
+        except RadeError:
+            job.fail(phase)
+            raise
+        job.transition(done)
+
+    def _install(self, job: Job, tree: EnvTree, env: dict[str, str], error) -> Path:
+        """Fresh prefix, deploy script and modulefile in ``tree``; failures raise ``error``."""
+        recipe = self._recipe(job)
+        self._fresh_dir(prefix_for(tree, job.target, job.name, job.version))
+        rc = self._run_script(
+            job, self._recipe_dir(job) / recipe.scripts.deploy, env, self._build_dir(job)
+        )
+        if rc != 0:
+            raise error(f"{tree.kind} install exited {rc}")
+        try:
+            return write_modulefile(tree, recipe, job.target)
+        except RadeError as exc:
+            raise error(str(exc)) from exc
+
     def run_build(self, job: Job) -> None:
         """Fetch + verify source, then run the build script in a fresh BUILD_DIR."""
         if job.started is None:
             job.started = time.time()
-        job.transition(BUILDING)
-        self._log_line(job, "=== PHASE build ===")
-        try:
+        with self._phase(job, "build"):
             self._fetch_source(job)
             build_dir = self._build_dir(job)
             self._fresh_dir(build_dir)
-            env = self._phase_env(job, "build")
+            env = self._phase_env(job, self.integration)
             rc = self._run_script(
                 job, self._recipe_dir(job) / self._recipe(job).scripts.build, env, build_dir
             )
             if rc != 0:
                 raise BuildFailed(f"build script exited {rc}")
-        except RadeError:
-            job.fail("build")
-            raise
-        job.transition(BUILT)
 
     def run_test(self, job: Job) -> None:
         """Internal tests, ops tests, integration install, researcher tests."""
-        job.transition(TESTING)
-        self._log_line(job, "=== PHASE test ===")
         recipe = self._recipe(job)
         recipe_dir = self._recipe_dir(job)
         build_dir = self._build_dir(job)
-        try:
-            env = self._phase_env(job, "test")
-
-            check = TestSpec("internal", recipe.scripts.check)
-            rc = self._run_script(job, recipe_dir / check.command, env, build_dir)
+        with self._phase(job, "test"):
+            env = self._phase_env(job, self.integration)
+            rc = self._run_script(job, recipe_dir / recipe.scripts.check, env, build_dir)
             if rc != 0:
-                raise TestFailed(check.origin, check.command, f"exited {rc}")
-
+                raise TestFailed("internal", recipe.scripts.check, f"exited {rc}")
             for ops in self.ops_tests:
-                rc = self._run_script(job, Path(ops.command), env, build_dir)
+                rc = self._run_script(job, ops.command, env, build_dir)
                 if rc != 0:
                     raise TestFailed("ops", ops.name, f"exited {rc}")
-
-            prefix = prefix_for(self.integration, job.target, job.name, job.version)
-            self._fresh_dir(prefix)
-            rc = self._run_script(job, recipe_dir / recipe.scripts.deploy, env, build_dir)
-            if rc != 0:
-                raise InstallFailed(f"integration install exited {rc}")
-            try:
-                module = write_modulefile(self.integration, recipe, job.target)
-            except RadeError as exc:
-                raise InstallFailed(str(exc)) from exc
-
-            test_env = PhaseEnvironment(
-                apply_directives(
-                    env.bindings,
-                    parse_directives(module.read_text(encoding="utf-8")),
-                )
+            module = self._install(job, self.integration, env, InstallFailed)
+            test_env = apply_directives(
+                env, parse_directives(module.read_text(encoding="utf-8"))
             )
             for rel in recipe.researcher_tests:
                 rc = self._run_script(job, recipe_dir / rel, test_env, recipe_dir)
                 if rc != 0:
                     raise TestFailed("researcher", rel, f"exited {rc}")
-        except RadeError:
-            job.fail("test")
-            raise
-        job.transition(TESTED)
 
     def run_deliver(self, job: Job) -> list[tuple[Path, str]]:
         """Clean rebuild in the deploy environment, install, render modulefile.
@@ -404,31 +389,18 @@ class JobRunner:
         Returns the (filesystem path, repository path) pairs staged for
         publication.
         """
-        job.transition(DELIVERING)
-        self._log_line(job, "=== PHASE deliver ===")
-        recipe = self._recipe(job)
-        recipe_dir = self._recipe_dir(job)
         build_dir = self._build_dir(job)
-        try:
+        with self._phase(job, "deliver"):
             self._fresh_dir(build_dir)
-            env = self._phase_env(job, "deliver")
-            rc = self._run_script(job, recipe_dir / recipe.scripts.build, env, build_dir)
+            env = self._phase_env(job, self.deploy)
+            rc = self._run_script(
+                job, self._recipe_dir(job) / self._recipe(job).scripts.build, env, build_dir
+            )
             if rc != 0:
                 raise DeliverFailed(f"deploy-environment rebuild exited {rc}")
-            prefix = prefix_for(self.deploy, job.target, job.name, job.version)
-            self._fresh_dir(prefix)
-            rc = self._run_script(job, recipe_dir / recipe.scripts.deploy, env, build_dir)
-            if rc != 0:
-                raise DeliverFailed(f"deploy install exited {rc}")
-            try:
-                module = write_modulefile(self.deploy, recipe, job.target)
-            except RadeError as exc:
-                raise DeliverFailed(str(exc)) from exc
-        except RadeError:
-            job.fail("deliver")
-            raise
-        job.transition(DELIVERED)
+            module = self._install(job, self.deploy, env, DeliverFailed)
         job.finished = time.time()
+        prefix = prefix_for(self.deploy, job.target, job.name, job.version)
         job.payload = [
             (prefix, prefix_rel(job.target, job.name, job.version)),
             (module, modulefile_rel(job.target, job.name, job.version)),
@@ -488,11 +460,7 @@ class JobRunner:
         }
         plan_recipes = {(n, v) for n, v, _ in build_plan.jobs}
         direct_dependents = {
-            node: [
-                d
-                for d in self.graph.direct_dependents(node)
-                if d in plan_recipes
-            ]
+            node: [d for d in self.graph.direct_dependents(node) if d in plan_recipes]
             for node in plan_recipes
         }
 
@@ -508,14 +476,14 @@ class JobRunner:
 
         pending = set(jobs)
         outcomes: dict[tuple, JobOutcome] = {}
+        delivered: set[tuple] = set()
         skipped: dict[tuple, str] = {}
         running: dict = {}
 
         def mark_skipped(key, reason):
             stack = [key]
             while stack:
-                k = stack.pop()
-                name, version, tid = k
+                name, version, tid = stack.pop()
                 for dn, dv in direct_dependents[(name, version)]:
                     dk = (dn, dv, tid)
                     if dk in pending and dk not in skipped:
@@ -527,12 +495,7 @@ class JobRunner:
                 ready = [
                     k
                     for k in sorted(pending)
-                    if k not in skipped
-                    and all(
-                        outcomes.get(d, None) is not None
-                        and outcomes[d].state == DELIVERED
-                        for d in deps_of(k)
-                    )
+                    if k not in skipped and delivered.issuperset(deps_of(k))
                 ]
                 for key in ready:
                     pending.discard(key)
@@ -544,45 +507,27 @@ class JobRunner:
                     key = running.pop(future)
                     outcome = future.result()
                     outcomes[key] = outcome
-                    if outcome.state != DELIVERED:
-                        name, version, tid = key
-                        mark_skipped(
-                            key, f"dependency {name}/{version} not delivered"
-                        )
+                    if outcome.state == DELIVERED:
+                        delivered.add(key)
+                    else:
+                        mark_skipped(key, f"dependency {key[0]}/{key[1]} not delivered")
 
-        ordered = []
-        for name, version, t in build_plan.jobs:
-            key = (name, version, target_id(t))
-            if key in outcomes:
-                ordered.append(outcomes[key])
-            else:
-                job = jobs[key]
-                ordered.append(
-                    JobOutcome(
-                        name=name,
-                        version=version,
-                        target=t,
-                        state=job.state,
-                        failed_phase=None,
-                        reason=skipped.get(key, "blocked by failed dependency"),
-                        duration_ms=0,
-                        log_path=job.log_path,
-                    )
-                )
-
-        report = RunReport(outcomes=ordered)
+        report = RunReport(
+            outcomes=[
+                outcomes[key]
+                if key in outcomes
+                else self._outcome(job, skipped.get(key, "blocked by failed dependency"))
+                for key, job in jobs.items()
+            ]
+        )
         if build_plan.jobs and report.ok:
-            stages = []
-            for name, version, t in build_plan.jobs:
-                job = jobs[(name, version, target_id(t))]
-                for fs_path, repo_path in job.payload:
-                    if not Path(fs_path).resolve().is_relative_to(
-                        self.deploy.root.resolve()
-                    ):
-                        raise InvariantViolation(
-                            f"publication payload {fs_path} escapes the deploy tree"
-                        )
-                    stages.append((Path(fs_path), repo_path))
+            stages = [stage for job in jobs.values() for stage in job.payload]
+            deploy_root = self.deploy.root.resolve()
+            for fs_path, _ in stages:
+                if not fs_path.resolve().is_relative_to(deploy_root):
+                    raise InvariantViolation(
+                        f"publication payload {fs_path} escapes the deploy tree"
+                    )
             report.publication = PublicationRequest(
                 job_id=build_plan.event_id, stages=tuple(stages)
             )

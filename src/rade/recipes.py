@@ -351,23 +351,20 @@ def load_corpus(root: Path) -> Corpus:
     return index_corpus(root, scan_corpus(root))
 
 
-def _normalize(path: str) -> str:
-    return PurePosixPath(path).as_posix()
-
-
 def changed_recipes(event: CommitEvent, corpus: Corpus) -> set[tuple[str, str]]:
     """Recipes whose directory contains at least one changed path.
 
+    A path belongs to the deepest recipe directory that contains it, so a
+    recipe nested in another's directory owns its own files, and a manifest at
+    the corpus root (``rel_dir`` ``.``) owns every path no deeper recipe does.
     Paths outside every recipe directory are ignored with a warning.
     """
+    by_dir = {rel_dir: key for key, rel_dir in corpus.dirs.items()}
     changed = set()
     for raw in event.changed_paths:
-        path = _normalize(raw)
-        hit = None
-        for key, rel_dir in corpus.dirs.items():
-            if path == rel_dir or path.startswith(rel_dir + "/"):
-                hit = key
-                break
+        path = PurePosixPath(raw)
+        dirs = (str(d) for d in (path, *path.parents))
+        hit = next((by_dir[d] for d in dirs if d in by_dir), None)
         if hit is None:
             log.warning("event %s: path %r is outside any recipe", event.event_id, raw)
         else:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 import shutil
 import subprocess
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,8 +28,10 @@ from .repo import (
     REVISION_FILE,
     Catalog,
     CatalogEntry,
+    ObjectRef,
     RepoHead,
     Repository,
+    _revision_bytes,
     sha256_hex,
 )
 from .targets import Target
@@ -94,8 +97,6 @@ class SiteCache:
             return None
         text = self.head_path.read_text(encoding="utf-8").rstrip("\n")
         sha, size, revision, job_id = text.split(" ", 3)
-        from .repo import ObjectRef
-
         return RepoHead(ObjectRef(sha, int(size)), int(revision), job_id)
 
     def _store_head(self, head: RepoHead) -> None:
@@ -205,7 +206,7 @@ class SiteCache:
     def _read_repo_object(self, path: str, sha: str, head: RepoHead) -> bytes:
         # The revision counter is derived from HEAD, not stored in objects/.
         if path == REVISION_FILE:
-            return f"{head.revision}\n".encode("ascii")
+            return _revision_bytes(head.revision)
         blob = self.repo.object_path(sha)
         if not blob.is_file():
             raise IntegrityError(f"object {sha} missing from repository")
@@ -360,8 +361,6 @@ def _relocate(directives, name: str, rel: str, site_prefix: str):
 
 def poll_until_changed(cache: SiteCache, interval_s: float = 1.0, attempts: int = 1):
     """Poll helper for the CLI: returns the first changed head or None."""
-    import time
-
     for i in range(max(1, attempts)):
         status, head = cache.poll()
         if status == CHANGED:

@@ -1,8 +1,9 @@
 """Version ordering and constraint grammar for recipe dependencies.
 
 Versions are compared component-wise after splitting on ``.``: when both
-components are all digits they compare numerically, otherwise as plain
-strings; the shorter version is padded with ``"0"`` components.
+components are all digits they compare numerically (of any length, without
+converting them to ``int``), otherwise as plain strings; the shorter version is
+padded with ``"0"`` components.
 """
 from __future__ import annotations
 
@@ -19,9 +20,14 @@ AT_LEAST = "at-least"
 RANGE = "range"
 
 
+def _numeric_key(digits: str) -> tuple[int, str]:
+    digits = digits.lstrip("0")
+    return (len(digits), digits)
+
+
 def _compare_component(a: str, b: str) -> int:
     if _ALL_DIGITS.match(a) and _ALL_DIGITS.match(b):
-        return (int(a) > int(b)) - (int(a) < int(b))
+        a, b = _numeric_key(a), _numeric_key(b)
     return (a > b) - (a < b)
 
 

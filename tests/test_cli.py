@@ -67,6 +67,19 @@ class TestRun:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("binding", ["ARCH=ppc", "INSTALL_PREFIX=/x"])
+    def test_reserved_site_binding_exits_two_and_runs_no_job(self, ws, capsys, binding):
+        config = json.loads(ws.config_path.read_text())
+        config["matrix"]["site_env"] = {"sitea": [binding]}
+        ws.config_path.write_text(json.dumps(config))
+        event = write_event(ws.spool_dir / "e.json", "evt-1", ["hello/1.0/build.sh"])
+        rc = run_cli("run", "--config", ws.config_path, "--event", event)
+        assert rc == 2
+        assert "reserved name" in capsys.readouterr().err
+        assert not ws.workdir.exists()
+        assert not ws.repo_path.exists()
+        assert event.is_file()
+
     def test_spool_directory_processes_all_events(self, ws, capsys):
         write_event(ws.spool_dir / "a.json", "evt-a", ["hello/1.0/build.sh"])
         write_event(ws.spool_dir / "b.json", "evt-b", ["libdemo/1.0/build.sh"])

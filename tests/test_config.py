@@ -90,3 +90,11 @@ def test_malformed_json(ws):
     ws.config_path.write_text("{nope")
     with pytest.raises(ConfigError):
         load_config(ws.config_path)
+
+
+@pytest.mark.parametrize("binding", ["ARCH=ppc", "INSTALL_PREFIX=/x"])
+def test_site_env_may_not_bind_reserved_names(ws, binding):
+    rewrite(ws, lambda d: d["matrix"].update(site_env={"sitea": [binding]}))
+    name = binding.partition("=")[0]
+    with pytest.raises(ConfigError, match=f"site_env for sitea binds reserved name {name}"):
+        load_config(ws.config_path)

@@ -5,7 +5,15 @@ import pytest
 
 from rade.errors import BuildFailed, DeliverFailed, SourceChecksumMismatch
 from rade.errors import TestFailed as PhaseTestFailed
-from rade.pipeline import BUILT, DELIVERED, FAILED, PENDING, TESTED, plan
+from rade.pipeline import (
+    BUILT,
+    DELIVERED,
+    FAILED,
+    PENDING,
+    RESERVED_ENV_NAMES,
+    TESTED,
+    plan,
+)
 from rade.recipes import CommitEvent
 from rade.targets import target_id
 from toycorpus import (
@@ -369,6 +377,14 @@ class TestEnvironment:
         runner.run_build(job)
         runner.run_test(job)
         assert job.state == TESTED
+
+    def test_reserved_names_are_the_phase_bindings(self, tmp_path):
+        # hello has no dependencies, so no modulefile directive adds a name
+        config, corpus, graph, runner = make_runner(make_workspace(tmp_path))
+        job = first_job(runner, plan(EVENT_HELLO, corpus, graph, config.matrix))
+        bound = set(runner._phase_env(job, runner.integration))
+        bound |= set(runner._phase_env(job, runner.deploy))
+        assert bound == RESERVED_ENV_NAMES
 
     def test_dependency_module_applied_to_build_env(self, small_ws):
         # app's build script sources $LIBDEMO_DIR/lib/libdemo.sh; it can only

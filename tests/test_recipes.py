@@ -57,6 +57,16 @@ class TestParseManifest:
         assert dep.constraint.low == "1.2"
         assert dep.constraint.high is None
 
+    def test_range_bound_longer_than_int_conversion_limit(self):
+        high = "9" * 5000
+        recipe = parse_manifest(
+            minimal_manifest(dependencies=[{"name": "zlib", "constraint": f">=1 <{high}"}])
+        )
+        (dep,) = recipe.dependencies
+        assert dep.constraint.high == high
+        assert dep.constraint.accepts("2.0")
+        assert not dep.constraint.accepts(high)
+
     def test_missing_check_script_names_field(self):
         doc = json.loads(minimal_manifest())
         del doc["scripts"]["check"]
@@ -287,6 +297,23 @@ class TestChangedRecipes:
         event = CommitEvent("e4", ("app/1.0/x", "zzz/9.9/x"), 1)
         result = changed_recipes(event, corpus)
         assert result <= set(corpus.recipes)
+
+    def test_manifest_at_corpus_root_owns_its_paths(self, tmp_path):
+        write_manifest_dir(tmp_path, "top")
+        corpus = load_corpus(tmp_path)
+        for path in ("build.sh", "rade.json", "docs/notes.txt"):
+            event = CommitEvent("e7", (path,), 1)
+            assert changed_recipes(event, corpus) == {("top", "1.0")}
+
+    def test_nested_recipe_owns_its_own_files(self, tmp_path):
+        # "rade.json" sorts after "sub", so scan order lists the outer recipe first
+        write_manifest_dir(tmp_path / "a", "outer")
+        write_manifest_dir(tmp_path / "a" / "sub", "inner")
+        corpus = load_corpus(tmp_path)
+        inner = CommitEvent("e8", ("a/sub/build.sh",), 1)
+        outer = CommitEvent("e9", ("a/build.sh",), 1)
+        assert changed_recipes(inner, corpus) == {("inner", "1.0")}
+        assert changed_recipes(outer, corpus) == {("outer", "1.0")}
 
     def test_monotone_in_changed_paths(self, corpus):
         small = CommitEvent("e5", ("hello/1.0/build.sh",), 1)

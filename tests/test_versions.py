@@ -114,3 +114,24 @@ class TestConstraintSemantics:
         assert c.accepts("1.9")
         assert not c.accepts("2.0")
         assert not c.accepts("2.1")
+
+
+def test_component_longer_than_int_conversion_limit():
+    # more digits than Python converts to int by default (4300)
+    huge = "9" * 5000
+    assert version_cmp("1", huge) < 0
+    assert version_cmp(huge, "1") > 0
+    assert version_cmp("1." + huge, "1.0" + huge) == 0
+    assert version_cmp(huge[:-1] + "8", huge) < 0
+    assert max_version({"2", huge, "10"}) == huge
+
+
+# long digit runs with leading zeros, within the int conversion limit
+digit_versions_st = st.lists(
+    st.text("0123456789", min_size=1, max_size=40), min_size=1, max_size=3
+).map(".".join)
+
+
+@given(digit_versions_st, digit_versions_st)
+def test_long_numeric_components_agree_with_oracle(a, b):
+    assert version_cmp(a, b) == oracle_cmp(a, b)
