@@ -1,7 +1,8 @@
 """Command-line entry point tying the pipeline together.
 
 Exit codes: 0 success (publication happened or the plan was empty), 1 at
-least one job failed, 2 configuration or usage error.
+least one job failed (for ``verify``: the repository has a problem), 2
+configuration or usage error.
 """
 from __future__ import annotations
 
@@ -160,6 +161,16 @@ def cmd_status(args) -> int:
     return EXIT_OK
 
 
+def cmd_verify(args) -> int:
+    config = load_config(args.config)
+    report = repo_mod.Repository.open(config.repo_path).verify()
+    problems = report.problems()
+    for line in problems:
+        print(line)
+    print(f"checked {report.checked} objects, problems: {len(problems)}")
+    return EXIT_JOB_FAILURE if problems else EXIT_OK
+
+
 def cmd_publish(args) -> int:
     config = load_config(args.config)
     manifest = config.workdir / PUBLICATION_MANIFEST
@@ -244,6 +255,13 @@ def build_parser() -> argparse.ArgumentParser:
         "status", parents=[common], help="show the last run report and repo head"
     )
     p.set_defaults(func=cmd_status)
+
+    p = sub.add_parser(
+        "verify",
+        parents=[common],
+        help="re-hash every stored object and check the head's closure",
+    )
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser(
         "publish", parents=[common], help="re-publish the last successful run"

@@ -8,7 +8,6 @@ their dependencies' jobs on the same target to reach Delivered.
 """
 from __future__ import annotations
 
-import hashlib
 import logging
 import os
 import shutil
@@ -42,6 +41,7 @@ from .errors import (
     TestFailed,
 )
 from .recipes import CommitEvent, Corpus, Recipe, changed_recipes
+from .repo import copy_hashed, hash_file
 from .targets import MatrixConfig, Target, expand, target_id
 
 log = logging.getLogger(__name__)
@@ -269,17 +269,16 @@ class JobRunner:
         dest_dir.mkdir(parents=True, exist_ok=True)
         dest = dest_dir / origin.name
         if dest.is_file():
-            if hashlib.sha256(dest.read_bytes()).hexdigest() == recipe.source.sha256:
+            if hash_file(dest)[0] == recipe.source.sha256:
                 return dest
             dest.unlink()
-        data = origin.read_bytes()
-        if hashlib.sha256(data).hexdigest() != recipe.source.sha256:
+        # concurrent jobs of one recipe may fetch simultaneously
+        tmp = dest_dir / f".{origin.name}.{uuid.uuid4().hex[:8]}.tmp"
+        if copy_hashed(origin, tmp)[0] != recipe.source.sha256:
+            tmp.unlink()
             raise SourceChecksumMismatch(
                 f"{origin} does not match declared sha256 {recipe.source.sha256}"
             )
-        # concurrent jobs of one recipe may fetch simultaneously
-        tmp = dest_dir / f".{origin.name}.{uuid.uuid4().hex[:8]}.tmp"
-        tmp.write_bytes(data)
         os.replace(tmp, dest)
         return dest
 

@@ -15,6 +15,10 @@ line per entry sorted bytewise by path. Every published catalog carries a
 ``.revision`` entry whose content is derived from the head revision; it is
 materialized at the repo root and synthesized by readers rather than stored in
 objects/, so republishing identical content adds zero object-store files.
+
+The writer and the site client handle a catalog as its digest-checked lines:
+the serialization is canonical, so two entries are equal exactly when their
+lines are, and only the lines two catalogs do not share are parsed.
 """
 from __future__ import annotations
 
@@ -22,12 +26,14 @@ import hashlib
 import os
 import time
 import uuid
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import (
     CorruptHead,
     PathCollision,
+    RadeError,
     StoreWriteFailure,
     TransactionInProgress,
 )
@@ -40,9 +46,36 @@ DIRECTORY = "directory"
 
 _MODES = (FILE, EXECUTABLE, DIRECTORY)
 
+CHUNK_SIZE = 1 << 16  # bytes read at a time when a file is hashed or copied
+
 
 def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def hash_file(path: Path) -> tuple[str, int]:
+    """The sha256 and size of a file, read in CHUNK_SIZE pieces."""
+    digest = hashlib.sha256()
+    size = 0
+    with open(path, "rb") as fh:
+        while chunk := fh.read(CHUNK_SIZE):
+            digest.update(chunk)
+            size += len(chunk)
+    return digest.hexdigest(), size
+
+
+def copy_hashed(source: Path, dest: Path) -> tuple[str, int]:
+    """Copy ``source`` to a new file ``dest`` in CHUNK_SIZE pieces; return the
+    sha256 and size of the bytes copied. The caller checks the digest before
+    it renames ``dest`` into place."""
+    digest = hashlib.sha256()
+    size = 0
+    with open(source, "rb") as src, open(dest, "wb") as out:
+        while chunk := src.read(CHUNK_SIZE):
+            digest.update(chunk)
+            out.write(chunk)
+            size += len(chunk)
+    return digest.hexdigest(), size
 
 
 def _revision_bytes(revision: int) -> bytes:
@@ -69,6 +102,40 @@ class RepoHead:
     job_id: str
 
 
+def entry_line(path: str, mode: str, sha: str, size: int) -> bytes:
+    """The catalog line of one entry, without its newline."""
+    if mode == DIRECTORY:
+        sha, size = "-", 0
+    return f"{path}\t{mode}\t{sha}\t{size}".encode("utf-8")
+
+
+def line_path(line: bytes) -> bytes:
+    """The path bytes of a catalog line: catalogs are sorted by these, which
+    is not the order of the lines themselves when a path holds a byte below
+    TAB."""
+    return line[: line.index(b"\t")]
+
+
+def parse_line(line: bytes) -> CatalogEntry:
+    try:
+        path, mode, sha, size = line.decode("utf-8").split("\t")
+        if mode not in _MODES:
+            raise ValueError(mode)
+        ref = None if mode == DIRECTORY else ObjectRef(sha, int(size))
+    except ValueError:
+        raise CorruptHead(f"bad catalog line {line[:120]!r}") from None
+    return CatalogEntry(path, mode, ref)
+
+
+def split_lines(data: bytes) -> list[bytes]:
+    """A catalog's lines without their newlines. Only LF ends a line: a path
+    may hold any other control character."""
+    lines = data.split(b"\n")
+    if lines.pop():
+        raise CorruptHead("catalog does not end with a newline")
+    return lines
+
+
 @dataclass(frozen=True)
 class Catalog:
     entries: tuple[CatalogEntry, ...]
@@ -93,15 +160,7 @@ class Catalog:
 
     @classmethod
     def parse(cls, data: bytes) -> Catalog:
-        entries = []
-        for lineno, line in enumerate(data.decode("utf-8").splitlines(), 1):
-            fields = line.split("\t")
-            if len(fields) != 4 or fields[1] not in _MODES:
-                raise CorruptHead(f"bad catalog line {lineno}")
-            path, mode, sha, size = fields
-            ref = None if mode == DIRECTORY else ObjectRef(sha, int(size))
-            entries.append(CatalogEntry(path, mode, ref))
-        return cls(tuple(entries))
+        return cls(tuple(map(parse_line, split_lines(data))))
 
 
 @dataclass
@@ -115,7 +174,7 @@ class _StagedFile:
 @dataclass
 class Transaction:
     id: str
-    base: dict[str, CatalogEntry]
+    base: list[bytes]  # the head catalog's lines when the transaction began
     staged: dict[str, _StagedFile] = field(default_factory=dict)
     prefixes: set[str] = field(default_factory=set)
     state: str = "open"
@@ -130,14 +189,40 @@ def _check_repo_path(path: str) -> str:
     return path
 
 
-def _under(path: str, prefixes: set[str]) -> bool:
-    """True if ``path`` is one of ``prefixes`` or lies below one of them."""
-    while path not in prefixes:
-        cut = path.rfind("/")
-        if cut < 0:
-            return False
-        path = path[:cut]
-    return True
+def _splice(base: list[bytes], prefixes: set[str], added: list[bytes]) -> list[bytes]:
+    """The sorted catalog lines ``base`` without every path under ``prefixes``,
+    merged with ``added``, whose lines replace any of the same path.
+
+    A prefix's own path and the run of paths that start with ``prefix/`` are
+    each found by bisection, so the work beyond copying the kept slices grows
+    with the prefixes and the added lines, not with the catalog.
+    """
+    drop = []
+    for prefix in prefixes:
+        key = prefix.encode("utf-8")
+        at = bisect_left(base, key, key=line_path)
+        if at < len(base) and line_path(base[at]) == key:
+            drop.append((at, at + 1))
+        # "0" is the byte after "/": [prefix/, prefix0) holds every path below.
+        drop.append((
+            bisect_left(base, key + b"/", lo=at, key=line_path),
+            bisect_left(base, key + b"0", lo=at, key=line_path),
+        ))
+    kept, start = [], 0
+    for lo, hi in sorted(drop):
+        kept += base[start:lo]
+        start = max(start, hi)
+    kept += base[start:]
+
+    out, start = [], 0
+    for line in sorted(added, key=line_path):
+        key = line_path(line)
+        at = bisect_left(kept, key, lo=start, key=line_path)
+        out += kept[start:at]
+        out.append(line)
+        start = at + (at < len(kept) and line_path(kept[at]) == key)
+    out += kept[start:]
+    return out
 
 
 class Repository:
@@ -160,7 +245,7 @@ class Repository:
             return repo
         repo.objects_dir.mkdir(parents=True, exist_ok=True)
         repo.catalogs_dir.mkdir(parents=True, exist_ok=True)
-        empty = Catalog(()).serialize()
+        empty = b""  # the catalog with no entries
         repo._write_blob(repo.catalogs_dir, sha256_hex(empty), empty)
         repo._atomic_write(repo.path / REVISION_FILE, _revision_bytes(0))
         repo._atomic_write(
@@ -204,11 +289,18 @@ class Repository:
             raise CorruptHead(f"HEAD references missing catalog {sha}") from exc
         return RepoHead(ObjectRef(sha, size), int(rev_text), job_id)
 
+    def catalog_lines(
+        self, sha: str, error: type[RadeError] = CorruptHead
+    ) -> list[bytes]:
+        """The lines of a stored catalog, raising ``error`` unless it matches
+        its digest. The one way every reader gets at a catalog."""
+        data = self.catalog_path(sha).read_bytes()
+        if sha256_hex(data) != sha:
+            raise error(f"catalog {sha} fails its digest")
+        return split_lines(data)
+
     def read_catalog(self, ref: ObjectRef) -> Catalog:
-        data = self.catalog_path(ref.sha256).read_bytes()
-        if sha256_hex(data) != ref.sha256:
-            raise CorruptHead(f"catalog {ref.sha256} fails its digest")
-        return Catalog.parse(data)
+        return Catalog(tuple(map(parse_line, self.catalog_lines(ref.sha256))))
 
     # -- transactions ----------------------------------------------------
 
@@ -234,8 +326,7 @@ class Repository:
                 fh.write(f"{tx_id} {os.getpid()}\n")
             break
         try:
-            head = self.read_head()
-            base = self.read_catalog(head.root_catalog).by_path()
+            base = self.catalog_lines(self.read_head().root_catalog.sha256)
         except Exception:
             self.lock_path.unlink(missing_ok=True)
             raise
@@ -276,15 +367,14 @@ class Repository:
                     tx.staged[repo_path] = _StagedFile(DIRECTORY, "", 0, fs_path)
                     count += 1
                 continue
-            data = fs_path.read_bytes()
-            sha = sha256_hex(data)
+            sha, size = hash_file(fs_path)
             mode = EXECUTABLE if os.access(fs_path, os.X_OK) else FILE
             previous = tx.staged.get(repo_path)
             if previous is not None and previous.sha256 != sha:
                 raise PathCollision(
                     f"{repo_path} staged twice with different content"
                 )
-            tx.staged[repo_path] = _StagedFile(mode, sha, len(data), fs_path)
+            tx.staged[repo_path] = _StagedFile(mode, sha, size, fs_path)
             count += 1
         tx.prefixes.add(prefix)
         return count
@@ -292,8 +382,10 @@ class Repository:
     def publish(self, tx: Transaction, job_id: str) -> RepoHead:
         """Write objects and catalog, bump the revision, and swap HEAD.
 
-        The HEAD rename is the commit point: a failure before it leaves the
-        previous head fully intact and the transaction open.
+        The new catalog is the base's lines with every path under a staged
+        prefix dropped, merged with the staged lines and the new ``.revision``
+        line. The HEAD rename is the commit point: a failure before it leaves
+        the previous head fully intact and the transaction open.
         """
         if tx.state != "open":
             raise TransactionInProgress(f"transaction {tx.id} is {tx.state}")
@@ -301,32 +393,17 @@ class Repository:
         revision = head.revision + 1
         rev_data = _revision_bytes(revision)
 
-        entries = {
-            path: entry
-            for path, entry in tx.base.items()
-            if not _under(path, tx.prefixes)
-        }
-        for repo_path, staged in tx.staged.items():
-            ref = None if staged.mode == DIRECTORY else ObjectRef(staged.sha256, staged.size)
-            entries[repo_path] = CatalogEntry(repo_path, staged.mode, ref)
-        entries[REVISION_FILE] = CatalogEntry(
-            REVISION_FILE, FILE, ObjectRef(sha256_hex(rev_data), len(rev_data))
-        )
-        catalog = Catalog(tuple(entries.values()))
-        data = catalog.serialize()
+        added = [
+            entry_line(path, s.mode, s.sha256, s.size) for path, s in tx.staged.items()
+        ]
+        added.append(entry_line(REVISION_FILE, FILE, sha256_hex(rev_data), len(rev_data)))
+        data = b"".join(line + b"\n" for line in _splice(tx.base, tx.prefixes, added))
         catalog_sha = sha256_hex(data)
 
         try:
             for staged in tx.staged.values():
-                if staged.mode == DIRECTORY:
-                    continue
-                if not self.object_path(staged.sha256).exists():
-                    content = staged.source.read_bytes()
-                    if sha256_hex(content) != staged.sha256:
-                        raise StoreWriteFailure(
-                            f"{staged.source} changed since staging"
-                        )
-                    self._write_blob(self.objects_dir, staged.sha256, content)
+                if staged.mode != DIRECTORY:
+                    self._store_object(staged)
             self._write_blob(self.catalogs_dir, catalog_sha, data)
             self._atomic_write(self.path / REVISION_FILE, rev_data)
             self._atomic_write(
@@ -341,6 +418,19 @@ class Repository:
         self.lock_path.unlink(missing_ok=True)
         return RepoHead(ObjectRef(catalog_sha, len(data)), revision, job_id)
 
+    def _store_object(self, staged: _StagedFile) -> None:
+        final = self.object_path(staged.sha256)
+        if final.exists():
+            return
+        final.parent.mkdir(parents=True, exist_ok=True)
+        tmp = final.parent / f".{final.name}.{uuid.uuid4().hex[:8]}.tmp"
+        try:
+            if copy_hashed(staged.source, tmp)[0] != staged.sha256:
+                raise StoreWriteFailure(f"{staged.source} changed since staging")
+            os.replace(tmp, final)
+        finally:
+            tmp.unlink(missing_ok=True)
+
     # -- integrity -------------------------------------------------------
 
     def verify(self) -> VerifyReport:
@@ -352,42 +442,37 @@ class Repository:
                     continue
                 expected = blob.parent.name + blob.name
                 report.checked += 1
-                if sha256_hex(blob.read_bytes()) != expected:
+                if hash_file(blob)[0] != expected:
                     report.bad_objects.append(expected)
         try:
-            head = self.read_head()
-            catalog = self.read_catalog(head.root_catalog)
+            self._check_closure(self.read_head(), report, rehash=False)
         except CorruptHead as exc:
             report.errors.append(str(exc))
-            return report
-        for entry in catalog.entries:
-            if entry.mode == DIRECTORY:
-                continue
-            if entry.path == REVISION_FILE:
-                if sha256_hex(_revision_bytes(head.revision)) != entry.object.sha256:
-                    report.errors.append("revision entry disagrees with HEAD")
-                continue
-            if not self.object_path(entry.object.sha256).exists():
-                report.missing_objects.append(entry.object.sha256)
         return report
 
     def verify_head(self, head: RepoHead) -> None:
         """Raise CorruptHead unless the head's entire closure verifies."""
-        data = self.catalog_path(head.root_catalog.sha256).read_bytes()
-        if sha256_hex(data) != head.root_catalog.sha256:
-            raise CorruptHead(f"catalog {head.root_catalog.sha256} fails its digest")
-        for entry in Catalog.parse(data).entries:
+        report = VerifyReport()
+        self._check_closure(head, report, rehash=True)
+        if not report.ok:
+            raise CorruptHead(report.problems()[0])
+
+    def _check_closure(self, head: RepoHead, report: VerifyReport, rehash: bool) -> None:
+        """Record in ``report`` what is wrong with ``head``'s closure: its
+        ``.revision`` entry and each object it names, re-hashed if ``rehash``.
+        Raises CorruptHead if its catalog fails its digest or does not parse."""
+        for line in self.catalog_lines(head.root_catalog.sha256):
+            entry = parse_line(line)
             if entry.mode == DIRECTORY:
                 continue
+            sha = entry.object.sha256
             if entry.path == REVISION_FILE:
-                if sha256_hex(_revision_bytes(head.revision)) != entry.object.sha256:
-                    raise CorruptHead("revision entry disagrees with HEAD")
-                continue
-            blob = self.object_path(entry.object.sha256)
-            if not blob.is_file():
-                raise CorruptHead(f"missing object {entry.object.sha256}")
-            if sha256_hex(blob.read_bytes()) != entry.object.sha256:
-                raise CorruptHead(f"object {entry.object.sha256} fails its digest")
+                if sha256_hex(_revision_bytes(head.revision)) != sha:
+                    report.errors.append("revision entry disagrees with HEAD")
+            elif not self.object_path(sha).is_file():
+                report.missing_objects.append(sha)
+            elif rehash and hash_file(self.object_path(sha))[0] != sha:
+                report.bad_objects.append(sha)
 
     # -- low level -------------------------------------------------------
 
@@ -415,3 +500,11 @@ class VerifyReport:
     @property
     def ok(self) -> bool:
         return not (self.bad_objects or self.missing_objects or self.errors)
+
+    def problems(self) -> list[str]:
+        """One line per problem found."""
+        return (
+            [f"object {sha} fails its digest" for sha in self.bad_objects]
+            + [f"missing object {sha}" for sha in self.missing_objects]
+            + self.errors
+        )

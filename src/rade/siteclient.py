@@ -26,12 +26,14 @@ from .repo import (
     DIRECTORY,
     EXECUTABLE,
     REVISION_FILE,
-    Catalog,
     CatalogEntry,
     ObjectRef,
     RepoHead,
     Repository,
     _revision_bytes,
+    copy_hashed,
+    entry_line,
+    parse_line,
     sha256_hex,
 )
 from .targets import Target
@@ -45,7 +47,8 @@ GENERATIONS = (".tree.a", ".tree.b")
 @dataclass
 class SyncReport:
     """What one sync transferred and what it did to the spare tree: files
-    copied from ``objects/``, hard-linked from the live tree, and removed."""
+    copied from ``objects/``, hard-linked from the live tree or from an earlier
+    copy of the same object, and removed."""
 
     revision: int
     fetched_objects: int
@@ -78,7 +81,9 @@ class SiteCache:
     tree is being changed). ``tree`` is a relative symlink to the live
     generation and ``head`` the last synced HEAD line. A sync rewrites the
     spare generation, so a reader must not hold a tree path across two syncs.
-    Tree files are read-only: unchanged ones are shared by both generations.
+    Tree files are read-only: unchanged ones are shared by both generations,
+    and the paths of one generation with the same object and mode share one
+    copy of it.
     """
 
     def __init__(self, repo_path: Path, cache_root: Path):
@@ -93,11 +98,14 @@ class SiteCache:
 
     @property
     def last_head(self) -> RepoHead | None:
-        if not self.head_path.is_file():
+        """The head last synced, or None if there is none or the ``head``
+        file is unreadable; either way the next sync starts afresh."""
+        try:
+            text = self.head_path.read_text(encoding="utf-8").rstrip("\n")
+            sha, size, revision, job_id = text.split(" ", 3)
+            return RepoHead(ObjectRef(sha, int(size)), int(revision), job_id)
+        except (OSError, ValueError):
             return None
-        text = self.head_path.read_text(encoding="utf-8").rstrip("\n")
-        sha, size, revision, job_id = text.split(" ", 3)
-        return RepoHead(ObjectRef(sha, int(size)), int(revision), job_id)
 
     def _store_head(self, head: RepoHead) -> None:
         self._write_atomic(
@@ -131,38 +139,33 @@ class SiteCache:
         """Fetch the objects this cache is missing and bring the spare tree
         to the head's catalog, then make it the live tree.
 
-        Any digest mismatch raises IntegrityError before a tree or the
-        recorded head change, leaving the cache at its previous consistent
-        state.
+        Catalogs are compared as sets of lines, and only the lines that
+        differ are parsed. Any digest mismatch raises IntegrityError before a
+        tree or the recorded head change, leaving the cache at its previous
+        consistent state.
         """
         if head is None:
             head = self.repo.read_head()
-        wanted = self._catalog(head.root_catalog.sha256).by_path()
+        wanted = set(self.repo.catalog_lines(head.root_catalog.sha256, IntegrityError))
         live = self._live_generation()
-        held = self._held(live) or {}
+        held = self._held(live) or set()
+        # Only an entry the live tree lacks can name an object not yet cached.
+        new = {line: parse_line(line) for line in sorted(wanted - held)}
 
         fetched = 0
         fetched_bytes = 0
-        for path, entry in wanted.items():
-            if entry.mode == DIRECTORY or held.get(path) == entry:
+        for entry in new.values():
+            if entry.mode == DIRECTORY:
                 continue
-            sha = entry.object.sha256
-            cached = self._cache_object_path(sha)
+            cached = self._cache_object_path(entry.object.sha256)
             if cached.is_file():
                 continue
-            data = self._read_repo_object(path, sha, head)
-            if sha256_hex(data) != sha:
-                raise IntegrityError(f"object {sha} fails its digest")
-            cached.parent.mkdir(parents=True, exist_ok=True)
-            tmp = cached.parent / f".{cached.name}.tmp"
-            tmp.write_bytes(data)
-            os.replace(tmp, cached)
+            fetched_bytes += self._fetch(entry, head, cached)
             fetched += 1
-            fetched_bytes += len(data)
 
         report = SyncReport(head.revision, fetched, fetched_bytes)
         spare = GENERATIONS[1] if live == GENERATIONS[0] else GENERATIONS[0]
-        self._apply(spare, wanted, live, held, report)
+        self._apply(spare, wanted, new, live, held, report)
         self._write_atomic(self._marker(spare), head.root_catalog.sha256 + "\n")
         link = self.cache_root / ".tree.new"
         link.unlink(missing_ok=True)
@@ -172,12 +175,6 @@ class SiteCache:
         os.replace(link, self.tree_root)
         self._store_head(head)
         return report
-
-    def _catalog(self, sha: str) -> Catalog:
-        data = self.repo.catalog_path(sha).read_bytes()
-        if sha256_hex(data) != sha:
-            raise IntegrityError(f"catalog {sha} fails its digest")
-        return Catalog.parse(data)
 
     def _marker(self, generation: str) -> Path:
         return self.cache_root / f"{generation}.catalog"
@@ -189,39 +186,55 @@ class SiteCache:
             return None
         return name if name in GENERATIONS else None
 
-    def _held(self, generation: str | None) -> dict[str, CatalogEntry] | None:
-        """The entries a generation's tree holds, or None if there is no such
-        generation or its marker is missing or names no readable catalog."""
+    def _held(self, generation: str | None) -> set[bytes] | None:
+        """The catalog lines a generation's tree holds, or None if there is no
+        such generation or its marker is missing or names no readable
+        catalog."""
         if generation is None:
             return None
         try:
             sha = self._marker(generation).read_text(encoding="utf-8").strip()
-            return self._catalog(sha).by_path()
+            return set(self.repo.catalog_lines(sha))
         except (OSError, RadeError):
             return None
 
     def _cache_object_path(self, sha: str) -> Path:
         return self.objects_dir / sha[:2] / sha[2:]
 
-    def _read_repo_object(self, path: str, sha: str, head: RepoHead) -> bytes:
+    def _fetch(self, entry: CatalogEntry, head: RepoHead, cached: Path) -> int:
+        """Copy an entry's object into ``objects/`` if it matches its digest,
+        and return its size."""
+        sha = entry.object.sha256
+        cached.parent.mkdir(parents=True, exist_ok=True)
+        tmp = cached.parent / f".{cached.name}.tmp"
         # The revision counter is derived from HEAD, not stored in objects/.
-        if path == REVISION_FILE:
-            return _revision_bytes(head.revision)
-        blob = self.repo.object_path(sha)
-        if not blob.is_file():
-            raise IntegrityError(f"object {sha} missing from repository")
-        return blob.read_bytes()
+        if entry.path == REVISION_FILE:
+            data = _revision_bytes(head.revision)
+            tmp.write_bytes(data)
+            digest, size = sha256_hex(data), len(data)
+        else:
+            blob = self.repo.object_path(sha)
+            if not blob.is_file():
+                raise IntegrityError(f"object {sha} missing from repository")
+            digest, size = copy_hashed(blob, tmp)
+        if digest != sha:
+            tmp.unlink()
+            raise IntegrityError(f"object {sha} fails its digest")
+        os.replace(tmp, cached)
+        return size
 
     def _apply(
         self,
         spare: str,
-        wanted: dict[str, CatalogEntry],
+        wanted: set[bytes],
+        new: dict[bytes, CatalogEntry],
         live: str | None,
-        held: dict[str, CatalogEntry],
+        held: set[bytes],
         report: SyncReport,
     ) -> None:
-        """Change the spare tree from the catalog its marker names to
-        ``wanted``. A tree without a marker is emptied first."""
+        """Change the spare tree from the catalog its marker names to the
+        lines ``wanted``, of which ``new`` are parsed already. A tree without
+        a marker is emptied first."""
         root = self.cache_root / spare
         # Replacements are staged outside the trees, on the same file system.
         tmp = self.cache_root / ".file.tmp"
@@ -234,34 +247,40 @@ class SiteCache:
             if root.exists():
                 shutil.rmtree(root)
             root.mkdir()
-            have = {}
+            have = set()
 
+        old = {e.path: e for e in map(parse_line, sorted(have - wanted))}
+        added = {
+            line: new[line] if line in new else parse_line(line)
+            for line in sorted(wanted - have)
+        }
+        after = {e.path: e for e in added.values()}
         gone = [
             path
-            for path, entry in have.items()
-            if path not in wanted
-            or (entry.mode == DIRECTORY) != (wanted[path].mode == DIRECTORY)
+            for path, entry in old.items()
+            if path not in after
+            or (entry.mode == DIRECTORY) != (after[path].mode == DIRECTORY)
         ]
         emptied = set()
         for path in gone:
-            if have[path].mode == DIRECTORY:
+            if old[path].mode == DIRECTORY:
                 emptied.add(path)
             else:
                 (root / path).unlink(missing_ok=True)
             parts = path.split("/")
             emptied.update("/".join(parts[:i]) for i in range(1, len(parts)))
-        keep = {path for path, entry in wanted.items() if entry.mode == DIRECTORY}
-        for path in sorted(emptied - keep, key=lambda p: p.count("/"), reverse=True):
+        for path in sorted(emptied, key=lambda p: p.count("/"), reverse=True):
+            if entry_line(path, DIRECTORY, "-", 0) in wanted:
+                continue
             try:
                 (root / path).rmdir()
             except OSError:  # still holds entries
                 pass
         report.removed = len(gone)
 
-        for path, entry in wanted.items():
-            if have.get(path) == entry:
-                continue
-            dest = root / path
+        copies: dict[tuple[str, str], Path] = {}
+        for line, entry in added.items():
+            dest = root / entry.path
             if entry.mode == DIRECTORY:
                 dest.mkdir(parents=True, exist_ok=True)
                 continue
@@ -270,17 +289,22 @@ class SiteCache:
             # so it is replaced by a rename, never written in place. A
             # temporary left by a crash may be such a link too, so it is
             # removed, never opened.
-            if path in have:
+            if entry.path in old:
                 target = tmp
                 target.unlink(missing_ok=True)
             else:
                 target = dest
-            if held.get(path) == entry and self._link(self.cache_root / live / path, target):
+            # Only files of one mode may share an inode.
+            key = (entry.object.sha256, entry.mode)
+            if line in held and self._link(self.cache_root / live / entry.path, target):
+                report.linked += 1
+            elif key in copies and self._link(copies[key], target):
                 report.linked += 1
             else:
                 shutil.copyfile(self._cache_object_path(entry.object.sha256), target)
                 os.chmod(target, 0o555 if entry.mode == EXECUTABLE else 0o444)
                 report.copied += 1
+                copies[key] = dest
             if target is not dest:
                 os.replace(target, dest)
 
@@ -288,7 +312,7 @@ class SiteCache:
     def _link(source: Path, dest: Path) -> bool:
         try:
             os.link(source, dest)
-        except OSError:  # a reader removed the live copy; use objects/ instead
+        except OSError:  # a reader removed the source; use objects/ instead
             return False
         return True
 

@@ -307,6 +307,23 @@ class TestSyncAndMve:
         assert mve(fresh) == 0
         assert "MVE pass" in capsys.readouterr().out
 
+    def test_unreadable_site_head_is_never_synced(self, ws, capsys):
+        event = write_event(ws.spool_dir / "e.json", "evt", ["hello/1.0/build.sh"])
+        run_cli("run", "--config", ws.config_path, "--event", event)
+        cache = ws.root / "cache"
+        run_cli("sync", "--repo", ws.repo_path, "--cache", cache)
+        (cache / "head").write_text("garbage\n")
+        capsys.readouterr()
+        rc = run_cli(
+            "mve", "hello/1.0", "--config", ws.config_path,
+            "--target", "x86_64-linux-sitea", "--cache", cache,
+        )
+        assert rc == 1
+        assert "never synced" in capsys.readouterr().err
+        assert run_cli("sync", "--repo", ws.repo_path, "--cache", cache) == 0
+        assert capsys.readouterr().out.startswith("revision 1: fetched 0 objects")
+        assert (cache / "head").read_text().split(" ")[2] == "1"
+
     def test_sync_unchanged(self, ws, capsys):
         event = write_event(ws.spool_dir / "e.json", "evt", ["hello/1.0/build.sh"])
         run_cli("run", "--config", ws.config_path, "--event", event)
@@ -345,6 +362,33 @@ class TestSyncAndMve:
             )
             == 2
         )
+
+
+class TestVerify:
+    def test_clean_repository(self, ws, capsys):
+        event = write_event(ws.spool_dir / "e.json", "evt", ["hello/1.0/build.sh"])
+        run_cli("run", "--config", ws.config_path, "--event", event)
+        capsys.readouterr()
+        assert run_cli("verify", "--config", ws.config_path) == 0
+        checked = len([p for p in ws.repo_path.glob("*/??/*")])
+        assert capsys.readouterr().out == f"checked {checked} objects, problems: 0\n"
+
+    def test_corrupted_object(self, ws, capsys):
+        event = write_event(ws.spool_dir / "e.json", "evt", ["hello/1.0/build.sh"])
+        run_cli("run", "--config", ws.config_path, "--event", event)
+        repo = Repository.open(ws.repo_path)
+        entries = repo.read_catalog(repo.read_head().root_catalog).by_path()
+        sha = entries["x86_64/linux/sitea/hello/1.0/bin/hello"].object.sha256
+        repo.object_path(sha).write_bytes(b"corrupted")
+        capsys.readouterr()
+        assert run_cli("verify", "--config", ws.config_path) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"object {sha} fails its digest"
+        assert lines[1].endswith("objects, problems: 1")
+
+    def test_missing_repository(self, ws, capsys):
+        assert run_cli("verify", "--config", ws.config_path) == 1
+        assert "no repository" in capsys.readouterr().err
 
 
 def test_config_env_var_fallback(ws, monkeypatch, capsys):

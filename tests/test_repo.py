@@ -10,7 +10,7 @@ from rade.errors import (
     StoreWriteFailure,
     TransactionInProgress,
 )
-from rade.repo import Catalog, CatalogEntry, ObjectRef, Repository
+from rade.repo import CHUNK_SIZE, Catalog, CatalogEntry, ObjectRef, Repository, sha256_hex
 
 
 @pytest.fixture
@@ -58,7 +58,7 @@ class TestInitAndHead:
 class TestTransactions:
     def test_begin_on_fresh_repo_sees_empty_tree(self, repo):
         tx = repo.begin_transaction()
-        assert tx.base == {}
+        assert tx.base == []
         repo.abort(tx)
 
     def test_second_begin_raises(self, repo):
@@ -71,7 +71,7 @@ class TestTransactions:
         first = repo.begin_transaction()
         repo.abort(first)
         second = repo.begin_transaction()
-        assert second.base == {}
+        assert second.base == []
         repo.abort(second)
 
     def test_begin_waits_for_writer(self, repo):
@@ -222,6 +222,30 @@ class TestPublish:
         assert entries["apps/d/var/empty"].mode == "directory"
 
 
+    def test_multi_chunk_file_is_stored_whole(self, repo, tmp_path):
+        data = bytes(range(256)) * (2 * CHUNK_SIZE // 256) + b"tail"
+        (tmp_path / "t").mkdir()
+        (tmp_path / "t" / "big").write_bytes(data)
+        tx = repo.begin_transaction()
+        repo.stage(tx, tmp_path / "t", "apps")
+        head = repo.publish(tx, "job-1")
+        entry = repo.read_catalog(head.root_catalog).by_path()["apps/big"]
+        assert entry.object == ObjectRef(sha256_hex(data), len(data))
+        assert repo.object_path(entry.object.sha256).read_bytes() == data
+
+    def test_path_with_a_control_character_survives_the_next_transaction(
+        self, repo, tmp_path
+    ):
+        tree = make_tree(tmp_path / "t", {"x\x1cy": "one"})
+        for job in ("job-1", "job-2"):
+            tx = repo.begin_transaction()
+            repo.stage(tx, tree, "apps")
+            head = repo.publish(tx, job)
+        assert set(repo.read_catalog(head.root_catalog).by_path()) == {
+            "apps/x\x1cy", ".revision"
+        }
+
+
 class TestStoreFailure:
     def test_failed_publish_keeps_head_and_transaction(self, repo, tmp_path, monkeypatch):
         tree = make_tree(tmp_path / "t", {"a": "content"})
@@ -243,6 +267,23 @@ class TestStoreFailure:
         assert tx.state == "open"
         head = repo.publish(tx, "job-x")  # retry under the same lock succeeds
         assert head.revision == before.revision + 1
+
+
+    def test_source_changed_since_staging_is_not_stored(self, repo, tmp_path):
+        big = b"a" * (CHUNK_SIZE + 1)
+        tree = tmp_path / "t"
+        tree.mkdir()
+        (tree / "f").write_bytes(big)
+        tx = repo.begin_transaction()
+        repo.stage(tx, tree, "apps")
+        before = repo.read_head()
+        (tree / "f").write_bytes(big[:-1] + b"b")
+        with pytest.raises(StoreWriteFailure, match="changed since staging"):
+            repo.publish(tx, "job-x")
+        assert repo.read_head() == before
+        assert tx.state == "open"
+        assert [p for p in repo.objects_dir.rglob("*") if p.is_file()] == []
+        repo.abort(tx)
 
 
 class TestCanonicalCatalog:
@@ -320,6 +361,24 @@ class TestVerify:
         )
         report = repo.verify()
         assert any("revision" in e for e in report.errors)
+
+
+    def test_verify_head_names_the_first_problem(self, repo, tmp_path):
+        tree = make_tree(tmp_path / "t", {"a": "aaaa", "b": "bbbb"})
+        tx = repo.begin_transaction()
+        repo.stage(tx, tree, "apps")
+        head = repo.publish(tx, "job-1")
+        repo.verify_head(head)
+        entries = repo.read_catalog(head.root_catalog).by_path()
+        bad, gone = (entries[p].object.sha256 for p in ("apps/a", "apps/b"))
+        repo.object_path(bad).write_bytes(b"flipped")
+        with pytest.raises(CorruptHead, match=f"object {bad} fails its digest"):
+            repo.verify_head(head)
+        repo.object_path(gone).unlink()
+        assert repo.verify().problems() == [
+            f"object {bad} fails its digest",
+            f"missing object {gone}",
+        ]
 
 
 class TestConcurrentReaders:

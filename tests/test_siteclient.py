@@ -448,3 +448,66 @@ def test_single_tree_cache_upgrades_on_next_sync(three_heads, tmp_path):
     assert sorted(p.name for p in cache.cache_root.iterdir()) == [
         ".tree.a", ".tree.a.catalog", "head", "objects", "tree",
     ]
+
+
+def test_emptied_directory_that_stays_in_the_catalog_is_kept(tmp_path):
+    repo = Repository.init(tmp_path / "repo")
+    publish_files(repo, tmp_path / "src", {"bin/a": "a"}, empty_dirs=("var/empty",))
+    sub = tmp_path / "sub"
+
+    def publish_sub(files, job):
+        """Restage only a prefix below the empty-directory entry."""
+        shutil.rmtree(sub, ignore_errors=True)
+        sub.mkdir()
+        for rel, content in files.items():
+            (sub / rel).write_text(content)
+        tx = repo.begin_transaction()
+        repo.stage(tx, sub, "apps/demo/var/empty/sub")
+        return repo.publish(tx, job)
+
+    heads = [publish_sub({"f": "f"}, "job-2"), publish_sub({"f": "f", "g": "g"}, "job-3")]
+    heads.append(publish_sub({}, "job-4"))
+    cache = SiteCache(repo.path, tmp_path / "cache")
+    for head in heads:  # the last sync takes the spare from job-2 to job-4
+        cache.sync(head)
+        assert tree_state(cache.tree_root) == catalog_state(repo, head)
+    assert (cache.tree_root / "apps/demo/var/empty").is_dir()
+
+
+def test_paths_with_one_object_and_mode_share_one_copy(tmp_path):
+    repo = Repository.init(tmp_path / "repo")
+    files = {"a": "same", "b": "same", "c": "same", "d": "other"}
+    head = publish_files(repo, tmp_path / "src", files, executables=("c",))
+    cache = SiteCache(repo.path, tmp_path / "cache")
+    report = cache.sync(head)
+    tree = cache.tree_root / "apps/demo"
+    inode = {name: os.stat(tree / name).st_ino for name in files}
+    assert inode["a"] == inode["b"]
+    assert len({inode["a"], inode["c"], inode["d"]}) == 3
+    assert os.access(tree / "c", os.X_OK) and not os.access(tree / "a", os.X_OK)
+    assert (report.copied, report.linked) == (4, 1)  # .revision, a, c, d; b
+    assert tree_state(cache.tree_root) == catalog_state(repo, head)
+
+
+def test_failed_fetch_leaves_no_temporary(three_heads, tmp_path):
+    repo, (h1, h2, h3) = three_heads
+    sha = repo.read_catalog(h3.root_catalog).by_path()["apps/demo/new/deep/f"].object.sha256
+    repo.object_path(sha).write_bytes(b"not f3")
+    cache = SiteCache(repo.path, tmp_path / "cache")
+    cache.sync(h2)
+    with pytest.raises(IntegrityError):
+        cache.sync(h3)
+    assert cache.last_head == h2
+    assert [p for p in cache.objects_dir.rglob("*") if p.name.endswith(".tmp")] == []
+
+
+@pytest.mark.parametrize("text", ["garbage\n", "", "a b c\n", "sha 12 x job\n"])
+def test_unreadable_head_file_means_never_synced(published_ws, text):
+    ws, *_ = published_ws
+    cache = fresh_cache(ws)
+    cache.sync()
+    cache.head_path.write_text(text)
+    assert cache.last_head is None
+    assert cache.poll()[0] == CHANGED
+    head = cache.sync().revision
+    assert cache.last_head.revision == head
