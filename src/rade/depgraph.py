@@ -50,12 +50,6 @@ class DependencyGraph:
             self, "dependents", {n: tuple(sorted(v)) for n, v in dependents.items()}
         )
 
-    def direct_deps(self, node: Node) -> list[Node]:
-        return list(self.deps.get(node, ()))
-
-    def direct_dependents(self, node: Node) -> list[Node]:
-        return list(self.dependents.get(node, ()))
-
 
 @dataclass(frozen=True)
 class BuildPlan:

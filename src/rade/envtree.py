@@ -106,9 +106,9 @@ def module_path_for_dependencies(
     """Modulefile paths of the recipe's resolved direct dependencies, in build
     order. Every dependency must already be installed in ``tree`` for this
     target."""
-    deps = graph.direct_deps((recipe.name, recipe.version))
+    deps = set(graph.deps.get((recipe.name, recipe.version), ()))
     paths = []
-    for name, version in build_order(graph, set(deps)):
+    for name, version in build_order(graph, deps):
         path = modulefile_path(tree, target, name, version)
         if not path.is_file():
             raise MissingDependencyInstallation(

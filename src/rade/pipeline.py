@@ -17,6 +17,7 @@ import uuid
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from graphlib import TopologicalSorter
 from pathlib import Path
 
 from . import envtree  # looked up per call, so a wrapper set on the module applies
@@ -445,11 +446,13 @@ class JobRunner:
     # -- scheduling --------------------------------------------------------
 
     def run_plan(self, build_plan: BuildPlan, width: int) -> RunReport:
-        """Execute every job, gating dependents on their dependencies' jobs
-        for the same target; emits a publication request iff all Delivered.
+        """Execute every job once its dependencies' jobs for the same target
+        are Delivered; emits a publication request iff all are Delivered.
 
-        The scheduler thread is the sole owner of plan-level state; workers
-        only execute their own job and hand the outcome back.
+        Newly ready jobs are submitted in sorted order. A job whose dependency
+        was not delivered never runs; its reason names its first undelivered
+        dependency in key order, or repeats that one's reason if it never ran
+        either. Only the scheduler thread touches plan-level state.
         """
         if width < 1:
             raise InvariantViolation("width must be >= 1")
@@ -457,68 +460,43 @@ class JobRunner:
             (name, version, target_id(t)): self.new_job(name, version, t)
             for name, version, t in build_plan.jobs
         }
-        plan_recipes = {(n, v) for n, v, _ in build_plan.jobs}
-        direct_dependents = {
-            node: [d for d in self.graph.direct_dependents(node) if d in plan_recipes]
-            for node in plan_recipes
-        }
-
-        def deps_of(key):
-            # gate only on dependency jobs that exist in this plan; a dep
-            # filtered out for this target is checked at build time instead
-            name, version, tid = key
-            return [
-                (dn, dv, tid)
-                for dn, dv in self.graph.direct_deps((name, version))
-                if (dn, dv, tid) in jobs
+        # gate only on dependency jobs that exist in this plan; a dep
+        # filtered out for this target is checked at build time instead
+        deps = {
+            key: [
+                (dn, dv, key[2])
+                for dn, dv in self.graph.deps.get(key[:2], ())
+                if (dn, dv, key[2]) in jobs
             ]
-
-        pending = set(jobs)
+            for key in jobs
+        }
+        sorter = TopologicalSorter(deps)
+        sorter.prepare()
         outcomes: dict[tuple, JobOutcome] = {}
-        delivered: set[tuple] = set()
-        skipped: dict[tuple, str] = {}
         running: dict = {}
 
-        def mark_skipped(key, reason):
-            stack = [key]
-            while stack:
-                name, version, tid = stack.pop()
-                for dn, dv in direct_dependents[(name, version)]:
-                    dk = (dn, dv, tid)
-                    if dk in pending and dk not in skipped:
-                        skipped[dk] = reason
-                        stack.append(dk)
-
         with ThreadPoolExecutor(max_workers=width) as pool:
-            while pending or running:
-                ready = [
-                    k
-                    for k in sorted(pending)
-                    if k not in skipped and delivered.issuperset(deps_of(k))
-                ]
-                for key in ready:
-                    pending.discard(key)
+            while True:
+                for key in sorted(sorter.get_ready()):
                     running[pool.submit(self.run_job, jobs[key])] = key
                 if not running:
                     break
                 done, _ = wait(running, return_when=FIRST_COMPLETED)
                 for future in done:
                     key = running.pop(future)
-                    outcome = future.result()
-                    outcomes[key] = outcome
-                    if outcome.state == DELIVERED:
-                        delivered.add(key)
-                    else:
-                        mark_skipped(key, f"dependency {key[0]}/{key[1]} not delivered")
+                    outcomes[key] = future.result()
+                    if outcomes[key].state == DELIVERED:
+                        sorter.done(key)
 
-        report = RunReport(
-            outcomes=[
-                outcomes[key]
-                if key in outcomes
-                else self._outcome(job, skipped.get(key, "blocked by failed dependency"))
-                for key, job in jobs.items()
-            ]
-        )
+        # the plan lists dependencies first, so a skipped dependency's
+        # reason is known before its dependents'
+        reasons: dict[tuple, str] = {}
+        for key, job in jobs.items():
+            if key not in outcomes:
+                dep = next(d for d in deps[key] if jobs[d].state != DELIVERED)
+                reasons[key] = reasons.get(dep) or f"dependency {dep[0]}/{dep[1]} not delivered"
+                outcomes[key] = self._outcome(job, reasons[key])
+        report = RunReport(outcomes=[outcomes[key] for key in jobs])
         if build_plan.jobs and report.ok:
             stages = [stage for job in jobs.values() for stage in job.payload]
             deploy_root = self.deploy.root.resolve()

@@ -225,6 +225,23 @@ def _splice(base: list[bytes], prefixes: set[str], added: list[bytes]) -> list[b
     return out
 
 
+def _check_file_parents(lines: list[bytes], paths) -> None:
+    """Raise PathCollision if the sorted catalog ``lines`` holds a proper
+    ancestor of one of ``paths`` as a file or executable: no site could
+    materialize it. A published head holds no such pair, so only the new
+    paths' ancestors are looked up, by bisection."""
+    ancestors = {path[:at] for path in paths for at, c in enumerate(path) if c == "/"}
+    for ancestor in sorted(ancestors):
+        key = ancestor.encode("utf-8")
+        at = bisect_left(lines, key, key=line_path)
+        if (
+            at < len(lines)
+            and line_path(lines[at]) == key
+            and parse_line(lines[at]).mode != DIRECTORY
+        ):
+            raise PathCollision(f"{ancestor} is a file and the parent of another path")
+
+
 class Repository:
     """Single-writer, many-reader content-addressed repository."""
 
@@ -384,8 +401,10 @@ class Repository:
 
         The new catalog is the base's lines with every path under a staged
         prefix dropped, merged with the staged lines and the new ``.revision``
-        line. The HEAD rename is the commit point: a failure before it leaves
-        the previous head fully intact and the transaction open.
+        line. A catalog in which a file would be the parent of another path
+        is a PathCollision, raised before anything is written. The HEAD
+        rename is the commit point: a failure before it leaves the previous
+        head fully intact and the transaction open.
         """
         if tx.state != "open":
             raise TransactionInProgress(f"transaction {tx.id} is {tx.state}")
@@ -397,7 +416,9 @@ class Repository:
             entry_line(path, s.mode, s.sha256, s.size) for path, s in tx.staged.items()
         ]
         added.append(entry_line(REVISION_FILE, FILE, sha256_hex(rev_data), len(rev_data)))
-        data = b"".join(line + b"\n" for line in _splice(tx.base, tx.prefixes, added))
+        lines = _splice(tx.base, tx.prefixes, added)
+        _check_file_parents(lines, tx.staged)
+        data = b"".join(line + b"\n" for line in lines)
         catalog_sha = sha256_hex(data)
 
         try:

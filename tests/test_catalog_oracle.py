@@ -13,9 +13,11 @@ import os
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rade.errors import PathCollision
 from rade.repo import (
     DIRECTORY,
     EXECUTABLE,
@@ -51,8 +53,8 @@ tree_st = st.builds(
 
 def publish_st(single_files: bool):
     """One publish: a dict prefix -> staged content. A single file staged at
-    a prefix can make one path both a file and a directory, so only the
-    catalog oracle stages them."""
+    a prefix can make a file the parent of another path, which publish
+    rejects, so only the catalog oracle stages them."""
     return st.dictionaries(
         prefix_st, (tree_st | file_st) if single_files else tree_st, min_size=1, max_size=3
     )
@@ -76,6 +78,12 @@ def under(path: str, prefixes) -> bool:
     return True
 
 
+def file_parent(entries: dict[str, CatalogEntry]) -> bool:
+    """The reference rule: some entry's proper ancestor is a file entry."""
+    ancestors = {path[:at] for path in entries for at, c in enumerate(path) if c == "/"}
+    return any(entries[a].mode != DIRECTORY for a in ancestors if a in entries)
+
+
 def entry(path: str, content) -> CatalogEntry:
     if content is None:
         return CatalogEntry(path, DIRECTORY, None)
@@ -96,7 +104,8 @@ def write(path: Path, content) -> None:
 
 def publish(repo, model, staged, src: Path, job: str):
     """Publish ``staged`` through the repository and through the model;
-    returns the new head."""
+    returns the new head, or the old one if the model makes a file the
+    parent of another path and publish must reject it."""
     tx = repo.begin_transaction()
     entries = {}
     for i, (prefix, content) in enumerate(sorted(staged.items())):
@@ -110,10 +119,17 @@ def publish(repo, model, staged, src: Path, job: str):
             write(root, content)
             entries[prefix] = entry(prefix, content)
         repo.stage(tx, root, prefix)
-    head = repo.publish(tx, job)
 
     kept = {p: e for p, e in model.items() if not under(p, staged)}
     kept.update(entries)
+    if file_parent(kept):
+        before = repo.read_head()
+        with pytest.raises(PathCollision):
+            repo.publish(tx, job)
+        repo.abort(tx)
+        assert repo.read_head() == before
+        return before
+    head = repo.publish(tx, job)
     rev = f"{head.revision}\n".encode("ascii")
     kept[REVISION_FILE] = entry(REVISION_FILE, (rev, False))
     model.clear()

@@ -296,11 +296,11 @@ def test_adjacency_matches_edge_scan_and_is_not_compared():
     for _ in range(100):
         graph = random_dag(rng, max_nodes=8)
         for node in graph.nodes:
-            assert graph.direct_deps(node) == sorted(
+            assert graph.deps.get(node, ()) == tuple(sorted(
                 dep for (src, dep) in graph.edges if src == node
-            )
-            assert graph.direct_dependents(node) == sorted(
+            ))
+            assert graph.dependents.get(node, ()) == tuple(sorted(
                 src for (src, dep) in graph.edges if dep == node
-            )
+            ))
         twin = DependencyGraph(nodes=graph.nodes, edges=graph.edges)
         assert twin == graph and hash(twin) == hash(graph)

@@ -1,21 +1,37 @@
 from __future__ import annotations
 
+import collections
+import tempfile
+import threading
+import time
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from rade import pipeline
+from rade.depgraph import BuildPlan, DependencyGraph, build_order
+from rade.envtree import DEPLOY, EnvTree
 
 from rade.errors import BuildFailed, DeliverFailed, SourceChecksumMismatch
 from rade.errors import TestFailed as PhaseTestFailed
 from rade.pipeline import (
+    BUILDING,
     BUILT,
     DELIVERED,
+    DELIVERING,
     FAILED,
     PENDING,
     RESERVED_ENV_NAMES,
     TESTED,
+    TESTING,
+    JobRunner,
     plan,
 )
 from rade.recipes import CommitEvent
-from rade.targets import target_id
+from rade.targets import Target, target_id
 from toycorpus import (
     OPS_NO_WORLD_WRITABLE,
     make_runner,
@@ -417,3 +433,220 @@ class TestEnvironment:
         text = job.log_path.read_text()
         for phase in ("build", "test", "deliver"):
             assert f"=== PHASE {phase} ===" in text
+
+
+# -- scheduling, with run_job stubbed so no phase script runs ------------------
+
+TARGETS = (Target("x86_64", "linux", "sitea"), Target("x86_64", "linux", "siteb"))
+
+
+class StubRunner(JobRunner):
+    """Runs no phases: a job fails if its key is in ``fails``, else it is
+    Delivered, after ``delays[key]`` seconds. Records the start and finish
+    order and every start that came before one of its in-plan dependencies
+    was Delivered."""
+
+    def __init__(self, graph, workdir, deps, fails=(), delays=None, gate=None):
+        deploy = EnvTree(DEPLOY, workdir / "deploy")
+        super().__init__(None, graph, None, None, deploy, workdir)
+        self.deps = deps
+        self.fails = set(fails)
+        self.delays = delays or {}
+        self.gate = gate
+        self.lock = threading.Lock()
+        self.started: list[tuple] = []
+        self.finished: list[tuple] = []
+        self.delivered: set[tuple] = set()
+        self.early: list[tuple] = []
+
+    def run_job(self, job):
+        if self.gate is not None:
+            self.gate.acquire(timeout=5)  # bounded, so a scheduler fault cannot hang
+        with self.lock:
+            self.started.append(job.key)
+            if not self.delivered.issuperset(self.deps[job.key]):
+                self.early.append(job.key)
+        job.started = time.time()
+        time.sleep(self.delays.get(job.key, 0))
+        job.transition(BUILDING)
+        if job.key in self.fails:
+            job.fail("build")
+            reason = "stub failure"
+        else:
+            for state in (BUILT, TESTING, TESTED, DELIVERING, DELIVERED):
+                job.transition(state)
+            with self.lock:
+                self.delivered.add(job.key)
+            reason = None
+        with self.lock:
+            self.finished.append(job.key)
+        job.finished = time.time()
+        return self._outcome(job, reason)
+
+
+def in_plan_deps(graph, keys):
+    """Each job's dependency jobs in ``keys`` for its own target, by an
+    edge scan."""
+    return {
+        key: {
+            (dn, dv, key[2])
+            for (src, (dn, dv)) in graph.edges
+            if src == key[:2] and (dn, dv, key[2]) in keys
+        }
+        for key in keys
+    }
+
+
+def reference_sequence(keys, deps, fails):
+    """The submission order at width 1 by the rule the scheduler keeps: at
+    each wakeup, submit in sorted order every pending job whose dependencies
+    are all delivered; the one worker runs submissions first come, first
+    served, and the scheduler wakes once per finished job."""
+    pending, delivered, queue, sequence = set(keys), set(), collections.deque(), []
+    while True:
+        ready = sorted(k for k in pending if deps[k] <= delivered)
+        pending.difference_update(ready)
+        queue.extend(ready)
+        if not queue:
+            return sequence
+        key = queue.popleft()
+        sequence.append(key)
+        if key not in fails:
+            delivered.add(key)
+
+
+def expected_reasons(keys, deps, ran, delivered):
+    """Each never-run job, in plan order, names its first undelivered
+    dependency in key order, or takes that dependency's reason if it never
+    ran either."""
+    reasons = {}
+    for key in keys:
+        if key not in ran:
+            dep = min(d for d in deps[key] if d not in delivered)
+            reasons[key] = reasons.get(dep, f"dependency {dep[0]}/{dep[1]} not delivered")
+    return reasons
+
+
+NAMES = ("ant", "bee", "cat", "dog", "eel", "fox", "gnu")
+
+
+@st.composite
+def scheduled_plans(draw):
+    """A random DAG over up to seven recipes, expanded over one or two
+    targets, some recipes filtered out of the second target, and a set of
+    jobs that fail. Names are shuffled so key order is not build order."""
+    names = draw(st.permutations(NAMES))[: draw(st.integers(2, len(NAMES)))]
+    nodes = [(name, "1.0") for name in names]
+    # node i may depend on any earlier node, so the graph is acyclic
+    edges = {
+        (nodes[i], nodes[j])
+        for i in range(len(nodes))
+        for j in range(i)
+        if draw(st.booleans())
+    }
+    graph = DependencyGraph(nodes=frozenset(nodes), edges=frozenset(edges))
+    targets = TARGETS[: draw(st.sampled_from((1, 2, 2)))]
+    absent = set()
+    if len(targets) == 2:
+        absent = draw(st.sets(st.sampled_from(nodes), max_size=2))
+    jobs = tuple(
+        (name, version, target)
+        for name, version in build_order(graph, set(nodes))
+        for target in targets
+        if target == targets[0] or (name, version) not in absent
+    )
+    keys = [(n, v, target_id(t)) for n, v, t in jobs]
+    fails = draw(st.sets(st.sampled_from(keys), min_size=draw(st.integers(0, 1)), max_size=3))
+    return graph, BuildPlan(jobs=jobs, event_id="evt-stub"), keys, fails
+
+
+SCHEDULER = settings(
+    derandomize=True,
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def check_run(runner, report, keys, deps, fails):
+    """The properties a run of any width has."""
+    ran = set(runner.started)
+    assert len(runner.started) == len(ran), "a job ran twice"
+    assert runner.early == [], "a job started before its dependencies were delivered"
+    delivered = ran - fails
+    for key in keys:
+        assert (key in ran) == (deps[key] <= delivered)
+    outcomes = {(o.name, o.version, target_id(o.target)): o for o in report.outcomes}
+    assert list(outcomes) == keys
+    for key in keys:
+        expected = DELIVERED if key in delivered else FAILED if key in ran else PENDING
+        assert outcomes[key].state == expected
+    assert (report.publication is not None) == (delivered == set(keys))
+    reasons = expected_reasons(keys, deps, ran, delivered)
+    assert {k: o.reason for k, o in outcomes.items() if k not in ran} == reasons
+
+
+@SCHEDULER
+@given(scheduled_plans())
+def test_scheduler_width_3_runs_each_ready_job_once(case):
+    graph, build_plan, keys, fails = case
+    deps = in_plan_deps(graph, set(keys))
+    delays = {key: 0.001 * (i % 3) for i, key in enumerate(keys)}
+    with tempfile.TemporaryDirectory() as scratch:
+        runner = StubRunner(graph, Path(scratch), deps, fails, delays)
+        report = runner.run_plan(build_plan, width=3)
+    check_run(runner, report, keys, deps, fails)
+
+
+@SCHEDULER
+@given(scheduled_plans())
+def test_scheduler_width_1_submits_in_the_reference_order(case):
+    graph, build_plan, keys, fails = case
+    deps = in_plan_deps(graph, set(keys))
+    # One job may start per wait, so the scheduler sees each job finish
+    # before the next one starts, whatever the thread timing.
+    gate = threading.Semaphore(0)
+    real_wait = pipeline.wait
+
+    def gated_wait(fs, return_when):
+        gate.release()
+        return real_wait(fs, return_when=return_when)
+
+    with tempfile.TemporaryDirectory() as scratch, mock.patch.object(pipeline, "wait", gated_wait):
+        runner = StubRunner(graph, Path(scratch), deps, fails, gate=gate)
+        report = runner.run_plan(build_plan, width=1)
+    check_run(runner, report, keys, deps, fails)
+    assert runner.started == reference_sequence(keys, deps, fails)
+
+
+def test_skip_reason_names_the_first_failed_dependency_in_key_order(tmp_path):
+    # base <- liba, libb <- app <- viewer; liba and libb both fail, and
+    # liba, the first in key order, finishes last
+    base, liba, libb, app, viewer = (
+        (name, "1.0") for name in ("base", "liba", "libb", "app", "viewer")
+    )
+    graph = DependencyGraph(
+        nodes=frozenset({base, liba, libb, app, viewer}),
+        edges=frozenset({(liba, base), (libb, base), (app, liba), (app, libb), (viewer, app)}),
+    )
+    target = TARGETS[0]
+    build_plan = BuildPlan(
+        jobs=tuple((n, v, target) for n, v in build_order(graph, set(graph.nodes))),
+        event_id="evt-diamond",
+    )
+    tid = target_id(target)
+    keys = {(n, v, tid) for n, v, _ in build_plan.jobs}
+    runner = StubRunner(
+        graph,
+        tmp_path,
+        in_plan_deps(graph, keys),
+        fails={(*liba, tid), (*libb, tid)},
+        delays={(*liba, tid): 0.2},
+    )
+    report = runner.run_plan(build_plan, width=2)
+    outcomes = {o.name: o for o in report.outcomes}
+    assert runner.finished.index((*libb, tid)) < runner.finished.index((*liba, tid))
+    assert outcomes["app"].state == PENDING
+    assert outcomes["app"].reason == "dependency liba/1.0 not delivered"
+    assert outcomes["viewer"].reason == "dependency liba/1.0 not delivered"
+    assert report.publication is None

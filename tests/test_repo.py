@@ -246,6 +246,62 @@ class TestPublish:
         }
 
 
+class TestFileParentCollision:
+    """A catalog in which a file is the parent of another path cannot be
+    materialized, so publish rejects it before it writes anything."""
+
+    @staticmethod
+    def assert_rejected(repo, tx):
+        before = repo.read_head()
+        catalogs = sorted(repo.catalogs_dir.rglob("*"))
+        objects = object_files(repo)
+        with pytest.raises(PathCollision, match="parent of another path"):
+            repo.publish(tx, "job-x")
+        assert repo.read_head() == before
+        assert sorted(repo.catalogs_dir.rglob("*")) == catalogs
+        assert object_files(repo) == objects
+        repo.abort(tx)
+
+    def test_tree_below_a_published_file(self, repo, tmp_path):
+        (tmp_path / "a").write_text("file")
+        tx = repo.begin_transaction()
+        repo.stage(tx, tmp_path / "a", "a")
+        repo.publish(tx, "job-1")
+
+        tree = make_tree(tmp_path / "t", {"y": "below"})
+        tx = repo.begin_transaction()
+        repo.stage(tx, tree, "a/b")
+        self.assert_rejected(repo, tx)
+
+    def test_file_and_tree_below_it_in_one_transaction(self, repo, tmp_path):
+        (tmp_path / "a").write_text("file")
+        tree = make_tree(tmp_path / "t", {"y": "below"})
+        tx = repo.begin_transaction()
+        repo.stage(tx, tmp_path / "a", "a")
+        repo.stage(tx, tree, "a/b")
+        self.assert_rejected(repo, tx)
+
+    def test_tree_at_the_revision_prefix(self, repo, tmp_path):
+        tree = make_tree(tmp_path / "t", {"x": "below"})
+        tx = repo.begin_transaction()
+        repo.stage(tx, tree, ".revision")
+        self.assert_rejected(repo, tx)
+
+    def test_empty_directory_may_be_a_parent(self, repo, tmp_path):
+        (tmp_path / "t" / "e").mkdir(parents=True)
+        tx = repo.begin_transaction()
+        repo.stage(tx, tmp_path / "t", "a")
+        repo.publish(tx, "job-1")
+
+        tree = make_tree(tmp_path / "u", {"y": "below"})
+        tx = repo.begin_transaction()
+        repo.stage(tx, tree, "a/e/b")
+        head = repo.publish(tx, "job-2")
+        entries = repo.read_catalog(head.root_catalog).by_path()
+        assert entries["a/e"].mode == "directory"
+        assert entries["a/e/b/y"].mode == "file"
+
+
 class TestStoreFailure:
     def test_failed_publish_keeps_head_and_transaction(self, repo, tmp_path, monkeypatch):
         tree = make_tree(tmp_path / "t", {"a": "content"})
