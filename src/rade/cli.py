@@ -71,6 +71,8 @@ def _save_run_artifacts(config, report: pipeline.RunReport) -> None:
 
 def _run_one_event(config, runner, corpus, graph, event) -> int:
     build_plan = pipeline.plan(event, corpus, graph, config.matrix)
+    if build_plan.jobs:  # an older run's publication names prefixes this run rewrites
+        (config.workdir / PUBLICATION_MANIFEST).unlink(missing_ok=True)
     report = runner.run_plan(build_plan, config.width)
     _save_run_artifacts(config, report)
     print(report.render(), end="")
@@ -84,12 +86,17 @@ def _run_one_event(config, runner, corpus, graph, event) -> int:
     return EXIT_JOB_FAILURE
 
 
-def cmd_run(args) -> int:
-    config = load_config(args.config)
-    corpus, graph, runner = _build_runner(config)
+def _event_path(args) -> Path:
     event_path = Path(args.event)
     if not event_path.exists():
         raise ConfigError(f"event path not found: {event_path}")
+    return event_path
+
+
+def cmd_run(args) -> int:
+    config = load_config(args.config)
+    corpus, graph, runner = _build_runner(config)
+    event_path = _event_path(args)
     if event_path.is_dir():
         paths = recipes.pending_events(event_path)
         if not paths:
@@ -136,7 +143,7 @@ def cmd_resolve(args) -> int:
     config = load_config(args.config)
     corpus = recipes.load_corpus(config.corpus_root)
     graph = depgraph.build_graph(corpus)
-    event = recipes.load_event(Path(args.event))
+    event = recipes.load_event(_event_path(args))
     build_plan = pipeline.plan(event, corpus, graph, config.matrix)
     for line in build_plan.lines():
         print(line)

@@ -76,8 +76,6 @@ _PHASES = {
     "deliver": (DELIVERING, DELIVERED),
 }
 
-_PHASE_OF_STATE = {running: phase for phase, (running, _) in _PHASES.items()}
-
 # Names that _phase_env binds itself; a site_env binding may not use them.
 RESERVED_ENV_NAMES = frozenset({
     "PATH", "ARCH", "OS", "SITE", "SOURCE_DIR", "BUILD_DIR",
@@ -93,12 +91,15 @@ class OpsTest:
 
 @dataclass
 class Job:
+    """One (recipe, target) job's record, from its plan to the run report."""
+
     name: str
     version: str
     target: Target
     log_path: Path
     state: str = PENDING
     failed_phase: str | None = None
+    reason: str | None = None  # why it failed, or why it never ran
     started: float | None = None
     finished: float | None = None
     transitions: list[tuple[str, float]] = field(default_factory=list)
@@ -119,19 +120,12 @@ class Job:
     def fail(self, phase: str) -> None:
         self.transition(FAILED)
         self.failed_phase = phase
-        self.finished = time.time()
 
-
-@dataclass
-class JobOutcome:
-    name: str
-    version: str
-    target: Target
-    state: str
-    failed_phase: str | None
-    reason: str | None
-    duration_ms: int
-    log_path: Path
+    @property
+    def duration_ms(self) -> int:
+        if self.started is None or self.finished is None:
+            return 0
+        return int((self.finished - self.started) * 1000)
 
 
 @dataclass(frozen=True)
@@ -142,7 +136,7 @@ class PublicationRequest:
 
 @dataclass
 class RunReport:
-    outcomes: list[JobOutcome]
+    outcomes: list[Job]  # in plan order
     publication: PublicationRequest | None = None
 
     @property
@@ -208,10 +202,7 @@ class JobRunner:
     # -- naming ----------------------------------------------------------
 
     def new_job(self, name: str, version: str, target: Target) -> Job:
-        log_dir = self.workdir / "logs"
-        log_dir.mkdir(parents=True, exist_ok=True)
-        log_path = log_dir / f"{name}-{version}-{target_id(target)}.log"
-        log_path.write_text("", encoding="utf-8")
+        log_path = self.workdir / "logs" / f"{name}-{version}-{target_id(target)}.log"
         return Job(name=name, version=version, target=target, log_path=log_path)
 
     def _recipe(self, job: Job) -> Recipe:
@@ -311,6 +302,12 @@ class JobRunner:
             fh.write(text + "\n")
 
     @staticmethod
+    def _reset_log(job: Job) -> None:
+        """Create or empty the job's log, so it holds only this run's output."""
+        job.log_path.parent.mkdir(parents=True, exist_ok=True)
+        job.log_path.write_text("", encoding="utf-8")
+
+    @staticmethod
     def _fresh_dir(path: Path) -> None:
         if path.exists():
             shutil.rmtree(path)
@@ -320,13 +317,16 @@ class JobRunner:
 
     @contextmanager
     def _phase(self, job: Job, phase: str):
-        """Run the body as ``phase``: a RadeError fails the job there and propagates."""
+        """Run the body as ``phase``: any exception fails the job there and
+        propagates. The build phase starts the job's log afresh."""
         running, done = _PHASES[phase]
         job.transition(running)
-        self._log_line(job, f"=== PHASE {phase} ===")
         try:
+            if phase == "build":
+                self._reset_log(job)
+            self._log_line(job, f"=== PHASE {phase} ===")
             yield
-        except RadeError:
+        except Exception:
             job.fail(phase)
             raise
         job.transition(done)
@@ -347,8 +347,6 @@ class JobRunner:
 
     def run_build(self, job: Job) -> None:
         """Fetch + verify source, then run the build script in a fresh BUILD_DIR."""
-        if job.started is None:
-            job.started = time.time()
         with self._phase(job, "build"):
             self._fetch_source(job)
             build_dir = self._build_dir(job)
@@ -362,10 +360,10 @@ class JobRunner:
 
     def run_test(self, job: Job) -> None:
         """Internal tests, ops tests, integration install, researcher tests."""
-        recipe = self._recipe(job)
-        recipe_dir = self._recipe_dir(job)
-        build_dir = self._build_dir(job)
         with self._phase(job, "test"):
+            recipe = self._recipe(job)
+            recipe_dir = self._recipe_dir(job)
+            build_dir = self._build_dir(job)
             env = self._phase_env(job, self.integration)
             rc = self._run_script(job, recipe_dir / recipe.scripts.check, env, build_dir)
             if rc != 0:
@@ -389,8 +387,8 @@ class JobRunner:
         Returns the (filesystem path, repository path) pairs staged for
         publication.
         """
-        build_dir = self._build_dir(job)
         with self._phase(job, "deliver"):
+            build_dir = self._build_dir(job)
             self._fresh_dir(build_dir)
             env = self._phase_env(job, self.deploy)
             rc = self._run_script(
@@ -399,7 +397,6 @@ class JobRunner:
             if rc != 0:
                 raise DeliverFailed(f"deploy-environment rebuild exited {rc}")
             module = self._install(job, self.deploy, env, DeliverFailed)
-        job.finished = time.time()
         prefix = prefix_for(self.deploy, job.target, job.name, job.version)
         job.payload = [
             (prefix, prefix_rel(job.target, job.name, job.version)),
@@ -407,41 +404,22 @@ class JobRunner:
         ]
         return job.payload
 
-    def run_job(self, job: Job) -> JobOutcome:
-        """All three phases with conditional chaining; never raises."""
+    def run_job(self, job: Job) -> None:
+        """All three phases with conditional chaining; a failure's message
+        becomes the job's reason. Never raises."""
+        job.started = time.time()
         try:
             self.run_build(job)
             self.run_test(job)
             self.run_deliver(job)
-            reason = None
         except RadeError as exc:
+            job.reason = str(exc)
             self._log_line(job, f"error: {exc}")
-            reason = str(exc)
         except Exception as exc:  # noqa: BLE001 - workers must not kill the run
             log.exception("unexpected failure in %s/%s", job.name, job.version)
-            if job.state not in (FAILED, DELIVERED):
-                job.fail(_PHASE_OF_STATE.get(job.state, "build"))
-            self._log_line(job, f"internal error: {exc!r}")
-            reason = f"internal error: {exc!r}"
-        if job.finished is None:
-            job.finished = time.time()
-        return self._outcome(job, reason)
-
-    @staticmethod
-    def _outcome(job: Job, reason: str | None) -> JobOutcome:
-        duration = 0
-        if job.started is not None and job.finished is not None:
-            duration = int((job.finished - job.started) * 1000)
-        return JobOutcome(
-            name=job.name,
-            version=job.version,
-            target=job.target,
-            state=job.state,
-            failed_phase=job.failed_phase,
-            reason=reason,
-            duration_ms=duration,
-            log_path=job.log_path,
-        )
+            job.reason = f"internal error: {exc!r}"
+            self._log_line(job, job.reason)
+        job.finished = time.time()
 
     # -- scheduling --------------------------------------------------------
 
@@ -452,7 +430,8 @@ class JobRunner:
         Newly ready jobs are submitted in sorted order. A job whose dependency
         was not delivered never runs; its reason names its first undelivered
         dependency in key order, or repeats that one's reason if it never ran
-        either. Only the scheduler thread touches plan-level state.
+        either, and its log is left empty. The report holds the jobs
+        themselves, in plan order.
         """
         if width < 1:
             raise InvariantViolation("width must be >= 1")
@@ -472,7 +451,6 @@ class JobRunner:
         }
         sorter = TopologicalSorter(deps)
         sorter.prepare()
-        outcomes: dict[tuple, JobOutcome] = {}
         running: dict = {}
 
         with ThreadPoolExecutor(max_workers=width) as pool:
@@ -484,19 +462,21 @@ class JobRunner:
                 done, _ = wait(running, return_when=FIRST_COMPLETED)
                 for future in done:
                     key = running.pop(future)
-                    outcomes[key] = future.result()
-                    if outcomes[key].state == DELIVERED:
+                    future.result()
+                    if jobs[key].state == DELIVERED:
                         sorter.done(key)
 
         # the plan lists dependencies first, so a skipped dependency's
         # reason is known before its dependents'
-        reasons: dict[tuple, str] = {}
         for key, job in jobs.items():
-            if key not in outcomes:
-                dep = next(d for d in deps[key] if jobs[d].state != DELIVERED)
-                reasons[key] = reasons.get(dep) or f"dependency {dep[0]}/{dep[1]} not delivered"
-                outcomes[key] = self._outcome(job, reasons[key])
-        report = RunReport(outcomes=[outcomes[key] for key in jobs])
+            if job.started is None:
+                dep = next(jobs[d] for d in deps[key] if jobs[d].state != DELIVERED)
+                job.reason = (
+                    dep.reason if dep.started is None
+                    else f"dependency {dep.name}/{dep.version} not delivered"
+                )
+                self._reset_log(job)
+        report = RunReport(outcomes=list(jobs.values()))
         if build_plan.jobs and report.ok:
             stages = [stage for job in jobs.values() for stage in job.payload]
             deploy_root = self.deploy.root.resolve()

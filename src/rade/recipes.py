@@ -29,6 +29,8 @@ log = logging.getLogger(__name__)
 MANIFEST_NAME = "rade.json"
 
 _NAME_RE = re.compile(r"[a-z0-9][a-z0-9._-]*\Z")
+# a version names a directory in every prefix, build, source and log path
+_VERSION_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._+-]*\Z")
 _SHA256_RE = re.compile(r"[0-9a-f]{64}\Z")
 
 
@@ -123,8 +125,8 @@ def parse_manifest(text: str) -> Recipe:
 
     if not _NAME_RE.match(name):
         raise InvariantViolation(f"bad recipe name {name!r}")
-    if not version:
-        raise SchemaViolation("version must be non-empty")
+    if not _VERSION_RE.match(version):
+        raise InvariantViolation(f"bad recipe version {version!r}")
 
     source = SourceSpec(
         url=_require(source_doc, "url", str, "source."),
@@ -373,10 +375,15 @@ def changed_recipes(event: CommitEvent, corpus: Corpus) -> set[tuple[str, str]]:
 
 
 def load_event(path: Path) -> CommitEvent:
-    """Read one commit event document from the spool."""
+    """Read one commit event document from the spool.
+
+    An event that cannot be read, decoded as UTF-8 or parsed is a
+    :class:`MalformedManifest`.
+    """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers UnicodeDecodeError and JSONDecodeError
         raise MalformedManifest(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedManifest(f"{path}: event must be a JSON object")

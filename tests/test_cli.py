@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
@@ -208,6 +209,57 @@ def test_unreadable_manifest_fails_with_its_path(ws, capsys, case):
     assert capsys.readouterr().err.startswith("hello/broken/rade.json: ")
 
 
+@pytest.mark.parametrize("version", ["..", "1/../x"])
+def test_path_unsafe_version_is_rejected_before_any_job(ws, capsys, version):
+    first = write_event(ws.spool_dir / "e0.json", "evt-0", ["libdemo/1.0/build.sh"])
+    assert run_cli("run", "--config", ws.config_path, "--event", first) == 0
+    evil = ws.corpus_root / "evil" / "bad"
+    shutil.copytree(ws.corpus_root / "hello" / "1.0", evil)
+    manifest = json.loads((evil / "rade.json").read_text())
+    manifest.update(name="evil", version=version)
+    (evil / "rade.json").write_text(json.dumps(manifest))
+    trees = (snapshot(ws.integration_root), snapshot(ws.deploy_root))
+    capsys.readouterr()
+    expected = f"error: evil/bad/rade.json: bad recipe version {version!r}\n"
+    mve = ("hello/1.0", "--target", "x86_64-linux-sitea", "--cache", ws.root / "c")
+    for i in (1, 2):  # a second run is the one that would remove <site>/evil/..
+        event = write_event(ws.spool_dir / f"e{i}.json", f"evt-{i}", ["evil/bad/build.sh"])
+        for command, extra in (
+            ("run", ("--event", event)),
+            ("resolve", ("--event", event)),
+            ("mve", mve),
+        ):
+            assert run_cli(command, "--config", ws.config_path, *extra) == 1
+            assert capsys.readouterr().err == expected
+    assert (snapshot(ws.integration_root), snapshot(ws.deploy_root)) == trees
+    assert sorted(p.name for p in (ws.integration_root / "x86_64/linux/sitea").iterdir()) == [
+        "app", "libdemo"
+    ]
+    assert run_cli("validate", "--config", ws.config_path) == 1
+    assert capsys.readouterr().err == expected[len("error: "):]
+
+
+UNREADABLE_EVENTS = {
+    "missing": (None, 2, "config error: event path not found: "),
+    "not_utf8": (lambda path: path.write_bytes(b"\xff\xfe{}"), 1, "error: "),
+    "nested_too_deep": (lambda path: path.write_text("[" * 100_000), 1, "error: "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_EVENTS))
+@pytest.mark.parametrize("command", ["run", "resolve"])
+def test_unreadable_event_fails_without_traceback(ws, capsys, command, case):
+    event = ws.spool_dir / "e.json"
+    write, code, prefix = UNREADABLE_EVENTS[case]
+    if write is not None:
+        write(event)
+    assert run_cli(command, "--config", ws.config_path, "--event", event) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"{prefix}{event}")
+    assert err.count("\n") == 1
+    assert not ws.workdir.exists()
+
+
 class TestResolve:
     def test_chain_order_per_target(self, ws, capsys):
         event = write_event(ws.spool_dir / "e.json", "evt", ["libdemo/1.0/build.sh"])
@@ -249,6 +301,28 @@ class TestStatusAndPublish:
 
     def test_publish_without_run_is_config_error(self, ws, capsys):
         assert run_cli("publish", "--config", ws.config_path) == 2
+
+    def test_failed_run_leaves_nothing_to_publish(self, ws, capsys):
+        a = write_event(ws.spool_dir / "a.json", "evt-a", ["hello/1.0/build.sh"])
+        assert run_cli("run", "--config", ws.config_path, "--event", a) == 0
+        # an empty plan keeps the last run's publication
+        doc = write_event(ws.spool_dir / "doc.json", "evt-doc", ["README.md"])
+        assert run_cli("run", "--config", ws.config_path, "--event", doc) == 0
+        assert (ws.workdir / "publication.json").is_file()
+        # the deploy script now fails only in the deploy environment
+        (ws.corpus_root / "hello" / "1.0" / "deploy.sh").write_text(
+            "#!/bin/sh\nset -eu\n"
+            'if [ -n "${DEPLOY_PREFIX:-}" ]; then exit 1; fi\n'
+            'mkdir -p "$INSTALL_PREFIX/bin"\n'
+            'cp "$BUILD_DIR/hello" "$INSTALL_PREFIX/bin/hello"\n'
+        )
+        b = write_event(ws.spool_dir / "b.json", "evt-b", ["hello/1.0/deploy.sh"])
+        assert run_cli("run", "--config", ws.config_path, "--event", b) == 1
+        capsys.readouterr()
+        assert run_cli("publish", "--config", ws.config_path) == 2
+        assert "no publication recorded" in capsys.readouterr().err
+        head = Repository.open(ws.repo_path).read_head()
+        assert (head.revision, head.job_id) == (1, "evt-a")
 
 
 class TestSyncAndMve:

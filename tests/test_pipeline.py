@@ -337,6 +337,59 @@ class TestRunPlan:
             "Delivered",
         ]
 
+    def test_report_entries_are_the_jobs(self, small_ws):
+        config, corpus, graph, runner = make_runner(small_ws)
+        report = runner.run_plan(plan(EVENT_HELLO, corpus, graph, config.matrix), 1)
+        (job,) = report.outcomes
+        assert isinstance(job, pipeline.Job)
+        assert [s for s, _ in job.transitions][-1] == DELIVERED
+        assert job.payload == list(report.publication.stages)
+        assert job.reason is None
+        assert job.started <= job.transitions[0][1] <= job.transitions[-1][1] <= job.finished
+        assert job.duration_ms == int((job.finished - job.started) * 1000)
+
+    @pytest.mark.parametrize(
+        "phase, running", [("build", BUILDING), ("test", TESTING), ("deliver", DELIVERING)]
+    )
+    def test_internal_error_fails_the_job_at_its_phase(
+        self, small_ws, monkeypatch, phase, running
+    ):
+        phase_env = JobRunner._phase_env
+
+        def broken_phase_env(runner, job, tree):
+            if job.name == "libdemo" and job.state == running:
+                raise RuntimeError("boom")
+            return phase_env(runner, job, tree)
+
+        monkeypatch.setattr(JobRunner, "_phase_env", broken_phase_env)
+        config, corpus, graph, runner = make_runner(small_ws)
+        report = runner.run_plan(plan(EVENT_LIBDEMO, corpus, graph, config.matrix), 1)
+        libdemo, app = report.outcomes
+        assert (libdemo.state, libdemo.failed_phase) == (FAILED, phase)
+        assert [s for s, _ in libdemo.transitions][-2:] == [running, FAILED]
+        assert libdemo.reason == "internal error: RuntimeError('boom')"
+        assert libdemo.log_path.read_text().endswith(libdemo.reason + "\n")
+        assert app.state == PENDING
+        assert app.reason == "dependency libdemo/1.0 not delivered"
+        assert report.publication is None
+
+    def test_logs_hold_only_this_runs_output(self, small_ws):
+        config, corpus, graph, runner = make_runner(small_ws)
+        build_plan = plan(EVENT_LIBDEMO, corpus, graph, config.matrix)
+        runner.new_job(*build_plan.jobs[0])
+        assert not (small_ws.workdir / "logs").exists()  # planning writes no file
+        assert runner.run_plan(build_plan, 1).ok
+        (small_ws.corpus_root / "libdemo" / "1.0" / "build.sh").write_text(
+            "#!/bin/sh\nexit 1\n"
+        )
+        config, corpus, graph, runner = make_runner(small_ws)
+        libdemo, app = runner.run_plan(build_plan, 1).outcomes
+        text = libdemo.log_path.read_text()
+        assert text.startswith("=== PHASE build ===\n")
+        assert text.count("=== PHASE") == 1
+        assert app.state == PENDING
+        assert app.log_path.read_text() == ""  # the delivered run's log is gone
+
     def test_report_line_format(self, small_ws):
         config, corpus, graph, runner = make_runner(small_ws)
         build_plan = plan(EVENT_HELLO, corpus, graph, config.matrix)
@@ -481,7 +534,7 @@ class StubRunner(JobRunner):
         with self.lock:
             self.finished.append(job.key)
         job.finished = time.time()
-        return self._outcome(job, reason)
+        job.reason = reason
 
 
 def in_plan_deps(graph, keys):
