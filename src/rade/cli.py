@@ -28,8 +28,12 @@ PUBLICATION_MANIFEST = "publication.json"
 LAST_RUN_REPORT = "last-run.txt"
 
 
+def _load_corpus(config) -> recipes.Corpus:
+    return recipes.load_corpus(config.corpus_root, config.workdir / recipes.INDEX_NAME)
+
+
 def _build_runner(config):
-    corpus = recipes.load_corpus(config.corpus_root)
+    corpus = _load_corpus(config)
     graph = depgraph.build_graph(corpus)
     runner = pipeline.JobRunner(
         corpus=corpus,
@@ -107,7 +111,13 @@ def cmd_run(args) -> int:
     status = EXIT_OK
     seen_ids = set()
     for path in paths:
-        event = recipes.load_event(path)
+        try:
+            event = recipes.load_event(path)
+        except RadeError as exc:  # set aside, so it cannot hold up later events
+            print(f"error: {exc}", file=sys.stderr)
+            recipes.mark_event_rejected(path)
+            status = max(status, EXIT_JOB_FAILURE)
+            continue
         if event.event_id in seen_ids:
             raise ConfigError(f"duplicate event_id {event.event_id!r} in spool")
         seen_ids.add(event.event_id)
@@ -141,7 +151,7 @@ def cmd_validate(args) -> int:
 
 def cmd_resolve(args) -> int:
     config = load_config(args.config)
-    corpus = recipes.load_corpus(config.corpus_root)
+    corpus = _load_corpus(config)
     graph = depgraph.build_graph(corpus)
     event = recipes.load_event(_event_path(args))
     build_plan = pipeline.plan(event, corpus, graph, config.matrix)
@@ -178,16 +188,40 @@ def cmd_verify(args) -> int:
     return EXIT_JOB_FAILURE if problems else EXIT_OK
 
 
+def _read_publication(manifest: Path) -> pipeline.PublicationRequest:
+    """The request ``_save_run_artifacts`` recorded; anything else is a
+    :class:`ConfigError`."""
+    try:
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"bad publication record {manifest}: {exc}") from exc
+    if not isinstance(doc, dict):
+        doc = {}
+    job_id, stages = doc.get("job_id"), doc.get("stages")
+    if not (
+        isinstance(job_id, str)
+        and isinstance(stages, list)
+        and all(
+            isinstance(stage, list) and len(stage) == 2
+            and all(isinstance(value, str) for value in stage)
+            for stage in stages
+        )
+    ):
+        raise ConfigError(
+            f"bad publication record {manifest}: "
+            "expected a job_id string and [path, prefix] string pairs in stages"
+        )
+    return pipeline.PublicationRequest(
+        job_id=job_id, stages=tuple((Path(p), rp) for p, rp in stages)
+    )
+
+
 def cmd_publish(args) -> int:
     config = load_config(args.config)
     manifest = config.workdir / PUBLICATION_MANIFEST
     if not manifest.is_file():
         raise ConfigError(f"no publication recorded at {manifest}")
-    doc = json.loads(manifest.read_text(encoding="utf-8"))
-    request = pipeline.PublicationRequest(
-        job_id=doc["job_id"],
-        stages=tuple((Path(p), rp) for p, rp in doc["stages"]),
-    )
+    request = _read_publication(manifest)
     head = _publish(config, request)
     print(f"published revision {head.revision} (job {head.job_id})")
     return EXIT_OK
@@ -212,7 +246,7 @@ def cmd_mve(args) -> int:
         name, version = args.recipe.split("/", 1)
     except ValueError:
         raise ConfigError("recipe must be given as <name>/<version>") from None
-    corpus = recipes.load_corpus(config.corpus_root)
+    corpus = _load_corpus(config)
     if (name, version) not in corpus:
         raise ConfigError(f"unknown recipe {args.recipe}")
     recipe = corpus.recipes[(name, version)]

@@ -59,7 +59,8 @@ def load_config(path: Path | None) -> OrchestratorConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers UnicodeDecodeError and JSONDecodeError
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")

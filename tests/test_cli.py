@@ -8,7 +8,7 @@ import pytest
 from rade import recipes
 from rade.cli import main
 from rade.repo import Repository
-from toycorpus import make_workspace, write_event, write_recipe
+from toycorpus import make_workspace, tick, write_event, write_recipe
 
 
 def run_cli(*argv):
@@ -91,6 +91,27 @@ class TestRun:
             "a.json.done",
             "b.json.done",
         ]
+
+    @pytest.mark.parametrize(
+        "rejected",
+        ["{broken", '{"changed_paths": ["hello/1.0/build.sh"], "timestamp": 1}'],
+        ids=["malformed", "no_event_id"],
+    )
+    def test_rejected_spool_event_is_set_aside(self, ws, capsys, rejected):
+        (ws.spool_dir / "a.json").write_text(rejected)
+        write_event(ws.spool_dir / "b.json", "evt-b", ["hello/1.0/build.sh"])
+        assert run_cli("run", "--config", ws.config_path, "--event", ws.spool_dir) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: {ws.spool_dir / 'a.json'}: ")
+        assert err.count("\n") == 1
+        assert "published revision 1" in out
+        assert sorted(p.name for p in ws.spool_dir.iterdir()) == [
+            "a.json.rejected",
+            "b.json.done",
+        ]
+        assert (ws.spool_dir / "a.json.rejected").read_text() == rejected
+        assert run_cli("run", "--config", ws.config_path, "--event", ws.spool_dir) == 0
+        assert capsys.readouterr().out == "event spool is empty\n"
 
     def test_second_identical_run_adds_no_objects(self, ws, capsys):
         e1 = write_event(ws.spool_dir / "e1.json", "evt-1", ["hello/1.0/build.sh"])
@@ -302,6 +323,22 @@ class TestStatusAndPublish:
     def test_publish_without_run_is_config_error(self, ws, capsys):
         assert run_cli("publish", "--config", ws.config_path) == 2
 
+    @pytest.mark.parametrize(
+        "record",
+        ["{broken", '{"job_id": "x"}', '{"job_id": 7, "stages": []}', '[]'],
+        ids=["malformed", "no_stages", "job_id_not_a_string", "not_an_object"],
+    )
+    def test_bad_publication_record_is_config_error(self, ws, capsys, record):
+        ws.workdir.mkdir()
+        (ws.workdir / "publication.json").write_text(record)
+        assert run_cli("publish", "--config", ws.config_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"config error: bad publication record {ws.workdir / 'publication.json'}: "
+        )
+        assert err.count("\n") == 1
+        assert not ws.repo_path.exists()
+
     def test_failed_run_leaves_nothing_to_publish(self, ws, capsys):
         a = write_event(ws.spool_dir / "a.json", "evt-a", ["hello/1.0/build.sh"])
         assert run_cli("run", "--config", ws.config_path, "--event", a) == 0
@@ -469,3 +506,37 @@ def test_config_env_var_fallback(ws, monkeypatch, capsys):
     monkeypatch.setenv("RADE_CONFIG", str(ws.config_path))
     assert run_cli("validate") == 0
     assert "OK 3 recipes" in capsys.readouterr().out
+
+
+class TestCorpusIndex:
+    def test_run_and_mve_reuse_the_index(self, ws, capsys, monkeypatch):
+        for i in (0, 1):  # the first run makes the workdir, the second the index
+            tick(ws.root)  # so that the index trusts every file that exists now
+            event = write_event(ws.spool_dir / f"e{i}.json", f"evt-{i}", ["hello/1.0/build.sh"])
+            assert run_cli("run", "--config", ws.config_path, "--event", event) == 0
+        assert (ws.workdir / recipes.INDEX_NAME).is_file()
+        parsed = []
+        parse = recipes.parse_manifest
+        monkeypatch.setattr(recipes, "parse_manifest", lambda text: parsed.append(text) or parse(text))
+        event = write_event(ws.spool_dir / "e2.json", "evt-2", ["hello/1.0/build.sh"])
+        assert run_cli("run", "--config", ws.config_path, "--event", event) == 0
+        assert run_cli("sync", "--repo", ws.repo_path, "--cache", ws.root / "c") == 0
+        mve = ("hello/1.0", "--target", "x86_64-linux-sitea", "--cache", ws.root / "c")
+        assert run_cli("mve", "--config", ws.config_path, *mve) == 0
+        event = write_event(ws.spool_dir / "e3.json", "evt-3", ["hello/1.0/build.sh"])
+        assert run_cli("resolve", "--config", ws.config_path, "--event", event) == 0
+        assert parsed == []
+        assert run_cli("validate", "--config", ws.config_path) == 0
+        assert len(parsed) == 3  # validate always parses everything
+
+    def test_workdir_that_cannot_hold_the_index(self, ws, capsys):
+        (ws.workdir / recipes.INDEX_NAME / "inner").mkdir(parents=True)
+        event = write_event(ws.spool_dir / "e.json", "evt", ["hello/1.0/build.sh"])
+        assert run_cli("run", "--config", ws.config_path, "--event", event) == 0
+        event = write_event(ws.spool_dir / "e1.json", "evt-1", ["hello/1.0/build.sh"])
+        assert run_cli("resolve", "--config", ws.config_path, "--event", event) == 0
+        assert run_cli("sync", "--repo", ws.repo_path, "--cache", ws.root / "c") == 0
+        mve = ("hello/1.0", "--target", "x86_64-linux-sitea", "--cache", ws.root / "c")
+        assert run_cli("mve", "--config", ws.config_path, *mve) == 0
+        assert (ws.workdir / recipes.INDEX_NAME).is_dir()
+        assert not [p for p in ws.workdir.iterdir() if p.name.endswith(".tmp")]

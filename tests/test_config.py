@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
+from rade.cli import main
 from rade.config import load_config
 from rade.errors import ConfigError
 from toycorpus import make_workspace
@@ -98,3 +100,16 @@ def test_site_env_may_not_bind_reserved_names(ws, binding):
     name = binding.partition("=")[0]
     with pytest.raises(ConfigError, match=f"site_env for sitea binds reserved name {name}"):
         load_config(ws.config_path)
+
+
+@pytest.mark.parametrize(
+    "content", [b"\xff\xfe{}", b"[" * 100_000], ids=["not_utf8", "nested_too_deep"]
+)
+def test_unparseable_config_is_config_error(ws, capsys, content):
+    ws.config_path.write_bytes(content)
+    with pytest.raises(ConfigError, match=re.escape(str(ws.config_path))):
+        load_config(ws.config_path)
+    assert main(["validate", "--config", str(ws.config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {ws.config_path}: ")
+    assert err.count("\n") == 1

@@ -2,27 +2,39 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import shutil
+import tempfile
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rade import recipes
 from rade.errors import (
     DuplicateRecipe,
     InvariantViolation,
     MalformedManifest,
+    RadeError,
     SchemaViolation,
 )
 from rade.recipes import (
+    INDEX_NAME,
+    MANIFEST_NAME,
     CommitEvent,
     canonical_manifest,
     changed_recipes,
     load_corpus,
     load_event,
     mark_event_done,
+    mark_event_rejected,
     parse_manifest,
     pending_events,
     scan_corpus,
 )
-from toycorpus import build_default_corpus, write_event, write_recipe
+from toycorpus import build_default_corpus, tick, write_event, write_recipe
 
 ZEROS = "0" * 64
 
@@ -342,3 +354,282 @@ class TestEventSpool:
         mark_event_done(a)
         assert pending_events(spool) == [b]
         assert (spool / "a.json.done").is_file()
+
+    def test_pending_skips_rejected(self, tmp_path):
+        spool = tmp_path / "spool"
+        a = write_event(spool / "a.json", "a", ["x"])
+        b = write_event(spool / "b.json", "b", ["x"])
+        mark_event_rejected(a)
+        assert pending_events(spool) == [b]
+        assert (spool / "a.json.rejected").is_file()
+
+    def test_schema_error_names_the_event(self, tmp_path):
+        path = tmp_path / "e.json"
+        path.write_text('{"changed_paths": ["x"], "timestamp": 1}')
+        with pytest.raises(SchemaViolation) as info:
+            load_event(path)
+        assert str(info.value) == f"{path}: missing required field event_id"
+
+
+# -- the stat-validated corpus index ------------------------------------------
+
+
+def outcome(load):
+    """What a load returns, in scan order, or the error it raises."""
+    try:
+        corpus = load()
+    except RadeError as exc:
+        return type(exc), str(exc)
+    return list(corpus.recipes.items()), list(corpus.dirs.items())
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The name of every recipe parsed from here on."""
+    seen = []
+    parse = recipes.parse_manifest
+
+    def counting_parse(text):
+        recipe = parse(text)
+        seen.append(recipe.name)
+        return recipe
+
+    monkeypatch.setattr(recipes, "parse_manifest", counting_parse)
+    return seen
+
+
+class TestCorpusIndex:
+    """``load_corpus(root, index_path)`` returns what ``load_corpus(root)``
+    returns, and re-parses only what changed."""
+
+    @pytest.fixture
+    def layout(self, tmp_path):
+        root = tmp_path / "corpus"
+        for name in ("alpha", "beta", "gamma"):
+            write_manifest_dir(root / name / "1.0", name)
+        (tmp_path / "work").mkdir()
+        return root, tmp_path / "work" / INDEX_NAME
+
+    def settled_load(self, root, index):
+        """Write the index when every file of the corpus is older than it,
+        so that it vouches for all of them."""
+        tick(root.parent)
+        load_corpus(root, index)
+
+    def test_unchanged_corpus_parses_nothing(self, layout, parses):
+        root, index = layout
+        self.settled_load(root, index)
+        expected = outcome(lambda: load_corpus(root))
+        parses.clear()
+        before = index.stat()
+        assert outcome(lambda: load_corpus(root, index)) == expected
+        assert parses == []
+        after = index.stat()  # and it is not rewritten
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+    def test_same_size_edit_with_new_mtime_is_seen(self, layout, parses):
+        root, index = layout
+        self.settled_load(root, index)
+        manifest = root / "beta" / "1.0" / MANIFEST_NAME
+        text = manifest.read_text()
+        edited = text.replace("hello-1.0", "hello-2.0")
+        assert len(edited) == len(text) and edited != text
+        manifest.write_text(edited)
+        parses.clear()
+        corpus = load_corpus(root, index)
+        assert parses == ["beta"]
+        assert corpus.recipes[("beta", "1.0")].source.url.endswith("hello-2.0.tar.gz")
+
+    def test_edit_that_restores_the_mtime_is_seen_by_its_ctime(self, layout, parses):
+        root, index = layout
+        self.settled_load(root, index)
+        manifest = root / "beta" / "1.0" / MANIFEST_NAME
+        old = manifest.stat()
+        manifest.write_text(manifest.read_text().replace("hello-1.0", "hello-2.0"))
+        os.utime(manifest, ns=(old.st_atime_ns, old.st_mtime_ns))
+        new = manifest.stat()
+        assert (new.st_mtime_ns, new.st_size, new.st_ino) == (
+            old.st_mtime_ns, old.st_size, old.st_ino
+        )
+        parses.clear()
+        corpus = load_corpus(root, index)
+        assert parses == ["beta"]
+        assert corpus.recipes[("beta", "1.0")].source.url.endswith("hello-2.0.tar.gz")
+
+    def test_emptied_script_is_seen(self, layout):
+        root, index = layout
+        self.settled_load(root, index)
+        (root / "gamma" / "1.0" / "deploy.sh").write_text("")
+        with pytest.raises(InvariantViolation, match=r"\Agamma/1.0/rade.json: deploy script"):
+            load_corpus(root, index)
+
+    def test_manifest_added_in_new_directory_then_removed(self, layout, parses):
+        root, index = layout
+        self.settled_load(root, index)
+        write_manifest_dir(root / "beta" / "1.0" / "sub" / "deep", "delta")
+        parses.clear()
+        corpus = load_corpus(root, index)
+        assert parses == ["delta"]
+        assert corpus.dirs[("delta", "1.0")] == "beta/1.0/sub/deep"
+        tick(root.parent)  # delta may have been too new to record
+        assert outcome(lambda: load_corpus(root, index)) == outcome(lambda: load_corpus(root))
+        shutil.rmtree(root / "alpha")
+        parses.clear()
+        corpus = load_corpus(root, index)
+        assert parses == []
+        assert sorted(corpus.recipes) == [("beta", "1.0"), ("delta", "1.0"), ("gamma", "1.0")]
+        assert outcome(lambda: load_corpus(root, index)) == outcome(lambda: load_corpus(root))
+
+    def test_dangling_manifest_symlink_whose_target_appears(self, layout):
+        root, index = layout
+        ghost = root / "ghost" / "1.0"
+        write_manifest_dir(ghost, "ghost")
+        (ghost / MANIFEST_NAME).unlink()
+        elsewhere = root.parent / "elsewhere"
+        elsewhere.mkdir()
+        (ghost / MANIFEST_NAME).symlink_to(elsewhere / "ghost.json")
+        self.settled_load(root, index)
+        assert ("ghost", "1.0") not in load_corpus(root, index)
+        directory = ghost.stat().st_mtime_ns
+        (elsewhere / "ghost.json").write_text(minimal_manifest(name="ghost"))
+        assert ghost.stat().st_mtime_ns == directory
+        corpus = load_corpus(root, index)
+        assert corpus.dirs[("ghost", "1.0")] == "ghost/1.0"
+        (elsewhere / "ghost.json").unlink()
+        assert ("ghost", "1.0") not in load_corpus(root, index)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda data: b"garbage",
+            lambda data: b"",
+            lambda data: data[: len(data) // 2],
+            lambda data: data.replace(b'"gamma"', b'"gamm4"'),  # the digest no longer fits
+        ],
+        ids=["garbage", "empty", "truncated", "flipped"],
+    )
+    def test_corrupt_index_means_a_full_scan(self, layout, parses, damage):
+        root, index = layout
+        self.settled_load(root, index)
+        index.write_bytes(damage(index.read_bytes()))
+        expected = outcome(lambda: load_corpus(root))
+        parses.clear()
+        assert outcome(lambda: load_corpus(root, index)) == expected
+        assert parses == ["alpha", "beta", "gamma"]
+        parses.clear()  # and the index is whole again
+        assert outcome(lambda: load_corpus(root, index)) == expected
+        assert parses == []
+
+    def test_index_of_another_corpus_root_means_a_full_scan(self, layout, parses):
+        root, index = layout
+        self.settled_load(root, index)
+        alias = root.parent / "alias"  # the same files under another root
+        alias.symlink_to(root)
+        expected = outcome(lambda: load_corpus(alias))
+        parses.clear()
+        assert outcome(lambda: load_corpus(alias, index)) == expected
+        assert parses == ["alpha", "beta", "gamma"]
+
+    def test_racy_entry_is_parsed_again(self, layout, parses):
+        root, index = layout
+        manifest = root / "beta" / "1.0" / MANIFEST_NAME
+        # not older than any index written now, so a later edit could keep
+        # its signature: the index never vouches for it
+        future = time.time_ns() + 3600 * 10**9
+        os.utime(manifest, ns=(future, future))
+        self.settled_load(root, index)
+        expected = outcome(lambda: load_corpus(root))
+        parses.clear()
+        assert outcome(lambda: load_corpus(root, index)) == expected
+        assert parses == ["beta"]
+
+    @pytest.mark.parametrize("blocker", ["missing", "file", "directory"])
+    def test_index_that_cannot_be_written_is_ignored(self, tmp_path, blocker):
+        root = tmp_path / "corpus"
+        write_manifest_dir(root / "alpha" / "1.0", "alpha")
+        index = tmp_path / "work" / INDEX_NAME
+        if blocker == "file":
+            (tmp_path / "work").write_text("not a directory")
+        elif blocker == "directory":
+            (index / "inner").mkdir(parents=True)
+        for _ in range(2):
+            assert outcome(lambda: load_corpus(root, index)) == outcome(lambda: load_corpus(root))
+        if blocker == "missing":
+            assert not (tmp_path / "work").exists()
+        elif blocker == "directory":
+            assert sorted(p.name for p in index.parent.iterdir()) == [INDEX_NAME]
+
+    def test_failed_load_writes_no_index(self, layout):
+        root, index = layout
+        (root / "beta" / "1.0" / MANIFEST_NAME).write_text("{broken")
+        with pytest.raises(MalformedManifest):
+            load_corpus(root, index)
+        assert list(index.parent.iterdir()) == []
+
+
+INDEX_MUTATIONS = (
+    "edit", "add", "remove", "nest", "drop_script", "empty_script", "duplicate", "break"
+)
+
+
+def mutate(root: Path, op: str, pick: int, serial: int) -> None:
+    """Apply one corpus mutation to the recipe ``pick`` selects."""
+    dirs = sorted(p.parent for p in root.rglob(MANIFEST_NAME))
+    target = dirs[pick % len(dirs)] if dirs else None
+    if op == "add" or target is None:
+        write_manifest_dir(root / f"new{serial}" / "1.0", f"new{serial}")
+    elif op == "edit":  # same length every time: only the stat stamps differ
+        try:
+            name = json.loads((target / MANIFEST_NAME).read_text())["name"]
+        except (ValueError, KeyError, TypeError):
+            name = f"fixed{serial}"
+        (target / MANIFEST_NAME).write_text(
+            minimal_manifest(name=name, source={"url": f"file:///e{serial % 10}", "sha256": ZEROS})
+        )
+    elif op == "remove":
+        (target / MANIFEST_NAME).unlink()
+    elif op == "nest":
+        write_manifest_dir(target / f"nested{serial}", f"nested{serial}")
+    elif op == "drop_script":
+        (target / "check-build").unlink(missing_ok=True)
+    elif op == "empty_script":
+        (target / "build.sh").write_text("")
+    elif op == "duplicate":
+        twin = write_manifest_dir(root / f"dup{serial}", "placeholder")
+        shutil.copy(target / MANIFEST_NAME, twin / MANIFEST_NAME)
+    else:
+        (target / MANIFEST_NAME).write_text("{broken")
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(INDEX_MUTATIONS), st.integers(0, 7), st.booleans()),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_indexed_load_equals_full_scan(steps):
+    """After every mutation, loads through the index agree with a full scan:
+    the same recipes and directories in the same order, or the same error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "corpus"
+        work = Path(tmp) / "work"
+        work.mkdir()
+        index = work / INDEX_NAME
+
+        def check():
+            expected = outcome(lambda: load_corpus(root))
+            for _ in range(2):  # the second load trusts what the first recorded
+                assert outcome(lambda: load_corpus(root, index)) == expected
+            assert [p.name for p in work.iterdir()] in ([], [INDEX_NAME])
+
+        for i in range(4):
+            write_manifest_dir(root / f"r{i}" / "1.0", f"r{i}")
+        tick(Path(tmp))
+        check()
+        for serial, (op, pick, settle) in enumerate(steps):
+            mutate(root, op, pick, serial)
+            if settle:  # else what changed is too new for the index to vouch for
+                tick(Path(tmp))
+            check()

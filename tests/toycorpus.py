@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import tarfile
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -380,3 +381,18 @@ def write_event(
         encoding="utf-8",
     )
     return path
+
+
+def tick(directory: Path) -> None:
+    """Wait until the file system stamps a new file in ``directory`` later
+    than any file written before the call, so everything that exists now is
+    older than a corpus index written after it."""
+    probe = directory / ".tick"
+    probe.write_text("0")
+    before = probe.stat().st_mtime_ns
+    deadline = time.monotonic() + 10
+    while probe.stat().st_mtime_ns == before:
+        assert time.monotonic() < deadline, "the file system clock does not advance"
+        time.sleep(0.002)
+        probe.write_text(str(time.monotonic_ns()))
+    probe.unlink()
