@@ -164,7 +164,8 @@ def cmd_status(args) -> int:
     config = load_config(args.config)
     report_path = config.workdir / LAST_RUN_REPORT
     if report_path.is_file():
-        print(report_path.read_text(encoding="utf-8"), end="")
+        # the report is ours, but a damaged one must not end the command
+        print(report_path.read_text(encoding="utf-8", errors="replace"), end="")
     else:
         print("no run recorded")
     try:

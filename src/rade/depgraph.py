@@ -66,16 +66,6 @@ class BuildPlan:
         ]
 
 
-def resolve_constraint(c: VersionConstraint, available: set[str]) -> str:
-    """Maximum available version satisfying ``c``."""
-    satisfying = [v for v in available if c.accepts(v)]
-    if not satisfying:
-        raise UnsatisfiableConstraint(
-            f"no version satisfies {c} among {sorted(available)}"
-        )
-    return max_version(satisfying)
-
-
 def build_graph(corpus: Corpus) -> DependencyGraph:
     """Resolve every dependency against the corpus and verify acyclicity."""
     constraints: dict[str, list[tuple[Node, VersionConstraint]]] = defaultdict(list)

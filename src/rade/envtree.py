@@ -52,16 +52,8 @@ def env_var_name(recipe_name: str) -> str:
     return recipe_name.upper().replace("-", "_").replace(".", "_")
 
 
-@dataclass(frozen=True)
-class Modulefile:
-    recipe: tuple[str, str]
-    target: Target
-    prefix: Path
-    text: str
-
-
-def render_modulefile(recipe, target: Target, prefix: Path) -> Modulefile:
-    """Render the modulefile for an installed prefix.
+def render_modulefile(recipe, target: Target, prefix: Path) -> str:
+    """The text of the modulefile for an installed prefix.
 
     Deterministic: identical inputs yield byte-identical text. The path lines
     are emitted only for subdirectories that actually exist.
@@ -82,30 +74,25 @@ def render_modulefile(recipe, target: Target, prefix: Path) -> Modulefile:
     if has_lib:
         lines.append(f"prepend-path LD_LIBRARY_PATH {prefix}/lib")
     lines.append(f"setenv {env_var_name(name)}_DIR {prefix}")
-    return Modulefile(
-        recipe=(name, version),
-        target=target,
-        prefix=prefix,
-        text="\n".join(lines) + "\n",
-    )
+    return "\n".join(lines) + "\n"
 
 
 def write_modulefile(tree: EnvTree, recipe, target: Target) -> Path:
     """Render and write the modulefile for an installation in ``tree``."""
     prefix = prefix_for(tree, target, recipe.name, recipe.version)
-    rendered = render_modulefile(recipe, target, prefix)
+    text = render_modulefile(recipe, target, prefix)
     path = modulefile_path(tree, target, recipe.name, recipe.version)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(rendered.text, encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     return path
 
 
 def module_path_for_dependencies(
     graph: DependencyGraph, recipe, tree: EnvTree, target: Target
 ) -> list[Path]:
-    """Modulefile paths of the recipe's resolved direct dependencies, in build
-    order. Every dependency must already be installed in ``tree`` for this
-    target."""
+    """The modulefile paths of the recipe's resolved direct dependencies, in
+    build order. Every dependency must already be installed in ``tree`` for
+    this target."""
     deps = set(graph.deps.get((recipe.name, recipe.version), ()))
     paths = []
     for name, version in build_order(graph, deps):

@@ -13,7 +13,6 @@ import os
 import shutil
 import subprocess
 import time
-import uuid
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -42,7 +41,7 @@ from .errors import (
     TestFailed,
 )
 from .recipes import CommitEvent, Corpus, Recipe, changed_recipes
-from .repo import copy_hashed, hash_file
+from .repo import copy_verified, hash_file
 from .targets import MatrixConfig, Target, expand, target_id
 
 log = logging.getLogger(__name__)
@@ -260,18 +259,13 @@ class JobRunner:
         dest_dir = self._source_dir(job)
         dest_dir.mkdir(parents=True, exist_ok=True)
         dest = dest_dir / origin.name
-        if dest.is_file():
-            if hash_file(dest)[0] == recipe.source.sha256:
-                return dest
-            dest.unlink()
+        if dest.is_file() and hash_file(dest)[0] == recipe.source.sha256:
+            return dest
         # concurrent jobs of one recipe may fetch simultaneously
-        tmp = dest_dir / f".{origin.name}.{uuid.uuid4().hex[:8]}.tmp"
-        if copy_hashed(origin, tmp)[0] != recipe.source.sha256:
-            tmp.unlink()
+        if copy_verified(origin, dest, recipe.source.sha256) is None:
             raise SourceChecksumMismatch(
                 f"{origin} does not match declared sha256 {recipe.source.sha256}"
             )
-        os.replace(tmp, dest)
         return dest
 
     # -- script execution ----------------------------------------------------

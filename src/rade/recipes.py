@@ -35,7 +35,8 @@ INDEX_NAME = "corpus-index.json"  # kept in the orchestrator's workdir
 INDEX_FORMAT = "rade-corpus-index/1"
 
 _NAME_RE = re.compile(r"[a-z0-9][a-z0-9._-]*\Z")
-# a version names a directory in every prefix, build, source and log path
+# a version names a directory in every prefix, build, source and log path;
+# an event id, which ends the HEAD line, has the same grammar
 _VERSION_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._+-]*\Z")
 _SHA256_RE = re.compile(r"[0-9a-f]{64}\Z")
 
@@ -190,36 +191,6 @@ def parse_manifest(text: str) -> Recipe:
         researcher_tests=researcher_tests,
         target_filter=target_filter,
     )
-
-
-def canonical_manifest(recipe: Recipe) -> str:
-    """Serialize a Recipe back to its canonical manifest text.
-
-    Round-trips: ``parse_manifest(canonical_manifest(r)) == r``.
-    """
-    doc = {
-        "name": recipe.name,
-        "version": recipe.version,
-        "source": {"url": recipe.source.url, "sha256": recipe.source.sha256},
-        "scripts": {
-            "build": recipe.scripts.build,
-            "check": recipe.scripts.check,
-            "deploy": recipe.scripts.deploy,
-        },
-    }
-    if recipe.dependencies:
-        doc["dependencies"] = [
-            {"name": d.name, "constraint": str(d.constraint)}
-            for d in recipe.dependencies
-        ]
-    if recipe.researcher_tests:
-        doc["researcher_tests"] = list(recipe.researcher_tests)
-    if recipe.target_filter is not None:
-        doc["targets"] = {
-            "include": [str(p) for p in recipe.target_filter.include],
-            "exclude": [str(p) for p in recipe.target_filter.exclude],
-        }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 @dataclass
@@ -657,7 +628,8 @@ def load_event(path: Path) -> CommitEvent:
     """Read one commit event document from the spool.
 
     An event that cannot be read, decoded as UTF-8 or parsed is a
-    :class:`MalformedManifest`. Every error names the event's path.
+    :class:`MalformedManifest`, and an ``event_id`` outside the version
+    grammar a :class:`SchemaViolation`. Every error names the event's path.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -668,6 +640,8 @@ def load_event(path: Path) -> CommitEvent:
         if not isinstance(doc, dict):
             raise MalformedManifest("event must be a JSON object")
         event_id = _require(doc, "event_id", str, "")
+        if not _VERSION_RE.match(event_id):
+            raise SchemaViolation(f"bad event_id {event_id!r}")
         changed = tuple(
             _string_list(_require(doc, "changed_paths", list, ""), "changed_paths")
         )

@@ -5,7 +5,8 @@ On-disk layout:
     <repo>/
       HEAD              "<root_catalog_sha> <revision> <job_id>\\n", swapped by
                         atomic rename -- the only publication visibility point
-      lock              exists while a transaction is open (single writer)
+      lock              flock-ed by the one open transaction; the kernel
+                        drops the lock when its holder exits or dies
       .revision         ASCII decimal + newline, readable without tooling
       objects/ab/cd...  deduplicated content objects named by sha256
       catalogs/ab/cd... canonical catalog documents, also content-addressed
@@ -22,6 +23,7 @@ lines are, and only the lines two catalogs do not share are parsed.
 """
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import os
 import time
@@ -64,18 +66,42 @@ def hash_file(path: Path) -> tuple[str, int]:
     return digest.hexdigest(), size
 
 
-def copy_hashed(source: Path, dest: Path) -> tuple[str, int]:
-    """Copy ``source`` to a new file ``dest`` in CHUNK_SIZE pieces; return the
-    sha256 and size of the bytes copied. The caller checks the digest before
-    it renames ``dest`` into place."""
+def _temporary(dest: Path) -> Path:
+    """A unique name next to ``dest``, so concurrent writers of one path and
+    readers of the directory never meet a half-written ``dest``."""
+    return dest.parent / f".{dest.name}.{uuid.uuid4().hex[:8]}.tmp"
+
+
+def write_atomic(path: Path, data: bytes) -> None:
+    """Replace ``path`` with ``data``: a reader sees the old bytes or the new,
+    and a failure leaves no temporary behind."""
+    tmp = _temporary(path)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # already gone once replaced
+
+
+def copy_verified(source: Path, dest: Path, sha256: str) -> int | None:
+    """Copy ``source`` to ``dest`` in CHUNK_SIZE pieces if the bytes copied
+    hash to ``sha256``, and return their size. Otherwise return None and leave
+    ``dest`` as it was. Like :func:`write_atomic`, it leaves no temporary."""
+    tmp = _temporary(dest)
     digest = hashlib.sha256()
     size = 0
-    with open(source, "rb") as src, open(dest, "wb") as out:
-        while chunk := src.read(CHUNK_SIZE):
-            digest.update(chunk)
-            out.write(chunk)
-            size += len(chunk)
-    return digest.hexdigest(), size
+    try:
+        with open(source, "rb") as src, open(tmp, "wb") as out:
+            while chunk := src.read(CHUNK_SIZE):
+                digest.update(chunk)
+                out.write(chunk)
+                size += len(chunk)
+        if digest.hexdigest() != sha256:
+            return None
+        os.replace(tmp, dest)
+        return size
+    finally:
+        tmp.unlink(missing_ok=True)  # already gone once replaced
 
 
 def _revision_bytes(revision: int) -> bytes:
@@ -136,33 +162,6 @@ def split_lines(data: bytes) -> list[bytes]:
     return lines
 
 
-@dataclass(frozen=True)
-class Catalog:
-    entries: tuple[CatalogEntry, ...]
-
-    def __post_init__(self):
-        paths = [e.path for e in self.entries]
-        if len(set(paths)) != len(paths):
-            raise PathCollision("catalog paths must be unique")
-
-    def by_path(self) -> dict[str, CatalogEntry]:
-        return {e.path: e for e in self.entries}
-
-    def serialize(self) -> bytes:
-        lines = []
-        for e in sorted(self.entries, key=lambda e: e.path.encode("utf-8")):
-            if e.mode == DIRECTORY:
-                sha, size = "-", 0
-            else:
-                sha, size = e.object.sha256, e.object.size
-            lines.append(f"{e.path}\t{e.mode}\t{sha}\t{size}\n")
-        return "".join(lines).encode("utf-8")
-
-    @classmethod
-    def parse(cls, data: bytes) -> Catalog:
-        return cls(tuple(map(parse_line, split_lines(data))))
-
-
 @dataclass
 class _StagedFile:
     mode: str
@@ -174,10 +173,18 @@ class _StagedFile:
 @dataclass
 class Transaction:
     id: str
+    lock_fd: int  # the open ``lock`` file this transaction holds flock-ed
     base: list[bytes]  # the head catalog's lines when the transaction began
     staged: dict[str, _StagedFile] = field(default_factory=dict)
     prefixes: set[str] = field(default_factory=set)
     state: str = "open"
+
+    def close(self, state: str) -> None:
+        """End the transaction as ``state`` and release the writer lock. The
+        ``lock`` file stays: unlinking it would let two writers lock two files."""
+        self.state = state
+        self.staged.clear()
+        os.close(self.lock_fd)
 
 
 def _check_repo_path(path: str) -> str:
@@ -264,10 +271,8 @@ class Repository:
         repo.catalogs_dir.mkdir(parents=True, exist_ok=True)
         empty = b""  # the catalog with no entries
         repo._write_blob(repo.catalogs_dir, sha256_hex(empty), empty)
-        repo._atomic_write(repo.path / REVISION_FILE, _revision_bytes(0))
-        repo._atomic_write(
-            repo.head_path, f"{sha256_hex(empty)} 0 init\n".encode("ascii")
-        )
+        write_atomic(repo.path / REVISION_FILE, _revision_bytes(0))
+        write_atomic(repo.head_path, f"{sha256_hex(empty)} 0 init\n".encode("ascii"))
         return repo
 
     @classmethod
@@ -291,7 +296,7 @@ class Repository:
         """Current head; never blocks on the writer lock."""
         try:
             text = self.head_path.read_text(encoding="ascii")
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a byte above 0x7f
             raise CorruptHead(f"cannot read HEAD: {exc}") from exc
         parts = text.rstrip("\n").split(" ", 2)
         if len(parts) != 3:
@@ -316,45 +321,37 @@ class Repository:
             raise error(f"catalog {sha} fails its digest")
         return split_lines(data)
 
-    def read_catalog(self, ref: ObjectRef) -> Catalog:
-        return Catalog(tuple(map(parse_line, self.catalog_lines(ref.sha256))))
-
     # -- transactions ----------------------------------------------------
 
     def begin_transaction(self, wait_s: float = 0.0) -> Transaction:
         """Open the single transaction, taking the exclusive writer lock.
 
         Waits up to ``wait_s`` for a competing writer before raising
-        TransactionInProgress.
+        TransactionInProgress. The lock is an flock on the ``lock`` file, so a
+        writer that died holds none, whatever the file says.
         """
-        tx_id = f"tx-{uuid.uuid4().hex[:12]}"
+        fd = os.open(self.lock_path, os.O_CREAT | os.O_WRONLY, 0o644)
         deadline = time.monotonic() + wait_s
-        while True:
-            try:
-                fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                if time.monotonic() >= deadline:
-                    raise TransactionInProgress(
-                        f"repository {self.path} already in transaction"
-                    ) from None
-                time.sleep(0.05)
-                continue
-            with os.fdopen(fd, "w") as fh:
-                fh.write(f"{tx_id} {os.getpid()}\n")
-            break
         try:
+            while True:
+                try:
+                    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                    break
+                except BlockingIOError:
+                    if time.monotonic() >= deadline:
+                        raise TransactionInProgress(
+                            f"repository {self.path} already in transaction"
+                        ) from None
+                    time.sleep(0.05)
             base = self.catalog_lines(self.read_head().root_catalog.sha256)
-        except Exception:
-            self.lock_path.unlink(missing_ok=True)
+        except BaseException:
+            os.close(fd)
             raise
-        return Transaction(id=tx_id, base=base)
+        return Transaction(id=f"tx-{uuid.uuid4().hex[:12]}", lock_fd=fd, base=base)
 
     def abort(self, tx: Transaction) -> None:
-        if tx.state != "open":
-            return
-        tx.state = "aborted"
-        tx.staged.clear()
-        self.lock_path.unlink(missing_ok=True)
+        if tx.state == "open":
+            tx.close("aborted")
 
     def stage(self, tx: Transaction, source: Path, repo_prefix: str) -> int:
         """Stage a directory tree (or single file) at ``repo_prefix``.
@@ -426,17 +423,15 @@ class Repository:
                 if staged.mode != DIRECTORY:
                     self._store_object(staged)
             self._write_blob(self.catalogs_dir, catalog_sha, data)
-            self._atomic_write(self.path / REVISION_FILE, rev_data)
-            self._atomic_write(
+            write_atomic(self.path / REVISION_FILE, rev_data)
+            write_atomic(
                 self.head_path,
                 f"{catalog_sha} {revision} {job_id}\n".encode("utf-8"),
             )
         except OSError as exc:
             raise StoreWriteFailure(str(exc)) from exc
 
-        tx.state = "published"
-        tx.staged.clear()
-        self.lock_path.unlink(missing_ok=True)
+        tx.close("published")
         return RepoHead(ObjectRef(catalog_sha, len(data)), revision, job_id)
 
     def _store_object(self, staged: _StagedFile) -> None:
@@ -444,18 +439,15 @@ class Repository:
         if final.exists():
             return
         final.parent.mkdir(parents=True, exist_ok=True)
-        tmp = final.parent / f".{final.name}.{uuid.uuid4().hex[:8]}.tmp"
-        try:
-            if copy_hashed(staged.source, tmp)[0] != staged.sha256:
-                raise StoreWriteFailure(f"{staged.source} changed since staging")
-            os.replace(tmp, final)
-        finally:
-            tmp.unlink(missing_ok=True)
+        if copy_verified(staged.source, final, staged.sha256) is None:
+            raise StoreWriteFailure(f"{staged.source} changed since staging")
 
     # -- integrity -------------------------------------------------------
 
     def verify(self) -> VerifyReport:
-        """Recompute every stored digest and check the head's closure."""
+        """Recompute every stored digest and check the head's closure: its
+        catalog's digest, its ``.revision`` entry and that each object it
+        names exists."""
         report = VerifyReport()
         for store in (self.objects_dir, self.catalogs_dir):
             for blob in sorted(store.glob("??/*")):
@@ -466,34 +458,20 @@ class Repository:
                 if hash_file(blob)[0] != expected:
                     report.bad_objects.append(expected)
         try:
-            self._check_closure(self.read_head(), report, rehash=False)
+            head = self.read_head()
+            for line in self.catalog_lines(head.root_catalog.sha256):
+                entry = parse_line(line)
+                if entry.mode == DIRECTORY:
+                    continue
+                sha = entry.object.sha256
+                if entry.path == REVISION_FILE:
+                    if sha256_hex(_revision_bytes(head.revision)) != sha:
+                        report.errors.append("revision entry disagrees with HEAD")
+                elif not self.object_path(sha).is_file():
+                    report.missing_objects.append(sha)
         except CorruptHead as exc:
             report.errors.append(str(exc))
         return report
-
-    def verify_head(self, head: RepoHead) -> None:
-        """Raise CorruptHead unless the head's entire closure verifies."""
-        report = VerifyReport()
-        self._check_closure(head, report, rehash=True)
-        if not report.ok:
-            raise CorruptHead(report.problems()[0])
-
-    def _check_closure(self, head: RepoHead, report: VerifyReport, rehash: bool) -> None:
-        """Record in ``report`` what is wrong with ``head``'s closure: its
-        ``.revision`` entry and each object it names, re-hashed if ``rehash``.
-        Raises CorruptHead if its catalog fails its digest or does not parse."""
-        for line in self.catalog_lines(head.root_catalog.sha256):
-            entry = parse_line(line)
-            if entry.mode == DIRECTORY:
-                continue
-            sha = entry.object.sha256
-            if entry.path == REVISION_FILE:
-                if sha256_hex(_revision_bytes(head.revision)) != sha:
-                    report.errors.append("revision entry disagrees with HEAD")
-            elif not self.object_path(sha).is_file():
-                report.missing_objects.append(sha)
-            elif rehash and hash_file(self.object_path(sha))[0] != sha:
-                report.bad_objects.append(sha)
 
     # -- low level -------------------------------------------------------
 
@@ -502,13 +480,7 @@ class Repository:
         if final.exists():
             return
         final.parent.mkdir(parents=True, exist_ok=True)
-        self._atomic_write(final, data)
-
-    @staticmethod
-    def _atomic_write(path: Path, data: bytes) -> None:
-        tmp = path.parent / f".{path.name}.{uuid.uuid4().hex[:8]}.tmp"
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
+        write_atomic(final, data)
 
 
 @dataclass

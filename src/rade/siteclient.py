@@ -31,10 +31,11 @@ from .repo import (
     RepoHead,
     Repository,
     _revision_bytes,
-    copy_hashed,
+    copy_verified,
     entry_line,
     parse_line,
     sha256_hex,
+    write_atomic,
 )
 from .targets import Target
 
@@ -108,16 +109,11 @@ class SiteCache:
             return None
 
     def _store_head(self, head: RepoHead) -> None:
-        self._write_atomic(
+        write_atomic(
             self.head_path,
             f"{head.root_catalog.sha256} {head.root_catalog.size} "
-            f"{head.revision} {head.job_id}\n",
+            f"{head.revision} {head.job_id}\n".encode("utf-8"),
         )
-
-    def _write_atomic(self, path: Path, text: str) -> None:
-        tmp = self.cache_root / ".write.tmp"
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
 
     # -- polling -----------------------------------------------------------
 
@@ -166,7 +162,7 @@ class SiteCache:
         report = SyncReport(head.revision, fetched, fetched_bytes)
         spare = GENERATIONS[1] if live == GENERATIONS[0] else GENERATIONS[0]
         self._apply(spare, wanted, new, live, held, report)
-        self._write_atomic(self._marker(spare), head.root_catalog.sha256 + "\n")
+        write_atomic(self._marker(spare), f"{head.root_catalog.sha256}\n".encode("ascii"))
         link = self.cache_root / ".tree.new"
         link.unlink(missing_ok=True)
         os.symlink(spare, link)
@@ -206,21 +202,19 @@ class SiteCache:
         and return its size."""
         sha = entry.object.sha256
         cached.parent.mkdir(parents=True, exist_ok=True)
-        tmp = cached.parent / f".{cached.name}.tmp"
         # The revision counter is derived from HEAD, not stored in objects/.
         if entry.path == REVISION_FILE:
             data = _revision_bytes(head.revision)
-            tmp.write_bytes(data)
-            digest, size = sha256_hex(data), len(data)
-        else:
-            blob = self.repo.object_path(sha)
-            if not blob.is_file():
-                raise IntegrityError(f"object {sha} missing from repository")
-            digest, size = copy_hashed(blob, tmp)
-        if digest != sha:
-            tmp.unlink()
+            if sha256_hex(data) != sha:
+                raise IntegrityError(f"object {sha} fails its digest")
+            write_atomic(cached, data)
+            return len(data)
+        blob = self.repo.object_path(sha)
+        if not blob.is_file():
+            raise IntegrityError(f"object {sha} missing from repository")
+        size = copy_verified(blob, cached, sha)
+        if size is None:
             raise IntegrityError(f"object {sha} fails its digest")
-        os.replace(tmp, cached)
         return size
 
     def _apply(

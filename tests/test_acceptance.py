@@ -25,7 +25,7 @@ from test_depgraph import (
     reachability_oracle,
     topo_oracle,
 )
-from toycorpus import OPS_FAIL, make_workspace, write_event
+from toycorpus import OPS_FAIL, catalog_entries, make_workspace, write_event
 
 
 @contextlib.contextmanager
@@ -131,7 +131,8 @@ def test_criterion_3_atomic_publication(tmp_path):
             while not stop.is_set():
                 try:
                     head = repo.read_head()
-                    repo.verify_head(head)  # full closure must verify
+                    report = repo.verify()  # store and full closure must verify
+                    assert report.ok, report.problems()
                 except Exception as exc:  # noqa: BLE001
                     violations.append(repr(exc))
                     return
@@ -194,12 +195,11 @@ def test_criterion_5_integrity(tmp_path, capsys):
 
         repo = Repository.open(ws.repo_path)
         head = repo.read_head()
-        catalog = repo.read_catalog(head.root_catalog)
         # corruption candidates: the head's whole closure (content objects
         # plus the root catalog document itself)
         candidates = [
             repo.object_path(e.object.sha256)
-            for e in catalog.entries
+            for e in catalog_entries(repo, head).values()
             if e.mode != "directory" and e.path != ".revision"
         ]
         candidates.append(repo.catalog_path(head.root_catalog.sha256))

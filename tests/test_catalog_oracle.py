@@ -2,9 +2,10 @@
 
 Publish splices catalog lines and sync diffs them as sets. Here random
 stage/publish sequences are checked against the entry-level model: every
-catalog blob must equal ``Catalog.serialize()`` of the entries a dict-based
-publish builds, and after every sync the live site tree must equal a
-from-scratch materialization of the head's catalog.
+catalog blob must equal ``serialize()`` here, a reference written from the
+format's definition, of the entries a dict-based publish builds, and after
+every sync the live site tree must equal a from-scratch materialization of
+the head's catalog.
 """
 from __future__ import annotations
 
@@ -23,12 +24,12 @@ from rade.repo import (
     EXECUTABLE,
     FILE,
     REVISION_FILE,
-    Catalog,
     CatalogEntry,
     ObjectRef,
     Repository,
 )
 from rade.siteclient import SiteCache
+from toycorpus import catalog_entries
 
 # Nested prefixes and their neighbours in path order: "a" < "a\x01" <
 # "a\x1c" < "a-b" < "a/..." < "a0" < "b". A line sorts "a\x01..." before
@@ -82,6 +83,16 @@ def file_parent(entries: dict[str, CatalogEntry]) -> bool:
     """The reference rule: some entry's proper ancestor is a file entry."""
     ancestors = {path[:at] for path in entries for at, c in enumerate(path) if c == "/"}
     return any(entries[a].mode != DIRECTORY for a in ancestors if a in entries)
+
+
+def serialize(entries) -> bytes:
+    """The reference catalog: one ``path<TAB>mode<TAB>sha256<TAB>size`` line
+    per entry, a directory's as ``-`` and 0, sorted by UTF-8 path bytes."""
+    lines = []
+    for e in sorted(entries, key=lambda e: e.path.encode("utf-8")):
+        sha, size = ("-", 0) if e.mode == DIRECTORY else (e.object.sha256, e.object.size)
+        lines.append(f"{e.path}\t{e.mode}\t{sha}\t{size}\n")
+    return "".join(lines).encode("utf-8")
 
 
 def entry(path: str, content) -> CatalogEntry:
@@ -141,7 +152,7 @@ def materialize(repo, head) -> dict:
     """path -> (bytes, executable) or None for a directory, as a site tree
     built from nothing would hold the head's catalog."""
     state = {}
-    for e in repo.read_catalog(head.root_catalog).entries:
+    for e in catalog_entries(repo, head).values():
         parts = e.path.split("/")
         state.update(("/".join(parts[:i]), None) for i in range(1, len(parts)))
         if e.mode == DIRECTORY:
@@ -173,8 +184,8 @@ def test_published_catalog_equals_the_entry_model(steps):
         for n, staged in enumerate(steps):
             head = publish(repo, model, staged, scratch / "src", f"job-{n}")
             blob = repo.catalog_path(head.root_catalog.sha256).read_bytes()
-            assert blob == Catalog(tuple(model.values())).serialize()
-            assert repo.read_catalog(head.root_catalog).by_path() == model
+            assert blob == serialize(model.values())
+            assert catalog_entries(repo, head) == model
 
 
 @ORACLE

@@ -8,7 +8,7 @@ import pytest
 from rade import recipes
 from rade.cli import main
 from rade.repo import Repository
-from toycorpus import make_workspace, tick, write_event, write_recipe
+from toycorpus import catalog_entries, make_workspace, tick, write_event, write_recipe
 
 
 def run_cli(*argv):
@@ -94,8 +94,12 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "rejected",
-        ["{broken", '{"changed_paths": ["hello/1.0/build.sh"], "timestamp": 1}'],
-        ids=["malformed", "no_event_id"],
+        [
+            "{broken",
+            '{"changed_paths": ["hello/1.0/build.sh"], "timestamp": 1}',
+            '{"event_id": "\\u00e9vt-1", "changed_paths": ["hello/1.0/build.sh"], "timestamp": 1}',
+        ],
+        ids=["malformed", "no_event_id", "non_ascii_event_id"],
     )
     def test_rejected_spool_event_is_set_aside(self, ws, capsys, rejected):
         (ws.spool_dir / "a.json").write_text(rejected)
@@ -314,6 +318,26 @@ class TestStatusAndPublish:
         assert "RESULT ok" in out
         assert "repo revision 1 job evt-s" in out
 
+    def test_status_with_a_report_that_is_not_utf8(self, ws, capsys):
+        ws.workdir.mkdir()
+        (ws.workdir / "last-run.txt").write_bytes(b"\xff\xfe")
+        assert run_cli("status", "--config", ws.config_path) == 0
+        assert "repo not initialized" in capsys.readouterr().out
+
+    def test_non_ascii_head_byte_ends_no_command_with_a_traceback(self, ws, capsys):
+        event = write_event(ws.spool_dir / "e.json", "evt-s", ["hello/1.0/build.sh"])
+        run_cli("run", "--config", ws.config_path, "--event", event)
+        head = ws.repo_path / "HEAD"
+        data = bytearray(head.read_bytes())
+        data[-2] = 0xFF  # the last byte of the job id
+        head.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert run_cli("status", "--config", ws.config_path) == 0
+        assert run_cli("verify", "--config", ws.config_path) == 1
+        assert "cannot read HEAD" in capsys.readouterr().out
+        assert run_cli("sync", "--repo", ws.repo_path, "--cache", ws.root / "c") == 1
+        assert capsys.readouterr().err.startswith("error: cannot read HEAD")
+
     def test_publish_republishes_last_run(self, ws, capsys):
         event = write_event(ws.spool_dir / "e.json", "evt-p", ["hello/1.0/build.sh"])
         run_cli("run", "--config", ws.config_path, "--event", event)
@@ -488,7 +512,7 @@ class TestVerify:
         event = write_event(ws.spool_dir / "e.json", "evt", ["hello/1.0/build.sh"])
         run_cli("run", "--config", ws.config_path, "--event", event)
         repo = Repository.open(ws.repo_path)
-        entries = repo.read_catalog(repo.read_head().root_catalog).by_path()
+        entries = catalog_entries(repo, repo.read_head())
         sha = entries["x86_64/linux/sitea/hello/1.0/bin/hello"].object.sha256
         repo.object_path(sha).write_bytes(b"corrupted")
         capsys.readouterr()

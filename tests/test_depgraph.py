@@ -12,7 +12,6 @@ from rade.depgraph import (
     build_graph,
     build_order,
     rebuild_set,
-    resolve_constraint,
 )
 from rade.errors import (
     DependencyCycle,
@@ -88,24 +87,31 @@ def random_dag(rng, max_nodes):
     return DependencyGraph(nodes=frozenset(names), edges=frozenset(edges))
 
 
-# --- resolve_constraint ------------------------------------------------------
+# --- constraint resolution, through build_graph -------------------------------
 
 
 class TestResolveConstraint:
+    @staticmethod
+    def resolved(constraint, available):
+        """The version of ``lib`` that build_graph picks for one dependent."""
+        corpus = make_corpus(
+            make_recipe("app", "1.0", [("lib", constraint)]),
+            *(make_recipe("lib", v) for v in available),
+        )
+        (edge,) = build_graph(corpus).deps[("app", "1.0")]
+        return edge[1]
+
     def test_at_least_picks_numeric_maximum(self):
         # brute-force oracle: satisfying set of ">=1.2" over {1.1,1.2,1.10}
         # is {1.2, 1.10}; 1.10 wins under numeric component ordering.
-        c = VersionConstraint.parse(">=1.2")
-        assert resolve_constraint(c, {"1.1", "1.2", "1.10"}) == "1.10"
+        assert self.resolved(">=1.2", ["1.1", "1.2", "1.10"]) == "1.10"
 
     def test_exact_identity(self):
-        c = VersionConstraint.parse("=1.0")
-        assert resolve_constraint(c, {"1.0"}) == "1.0"
+        assert self.resolved("=1.0", ["1.0"]) == "1.0"
 
     def test_unsatisfiable(self):
-        c = VersionConstraint.parse(">=2.0")
         with pytest.raises(UnsatisfiableConstraint):
-            resolve_constraint(c, {"1.0", "1.9"})
+            self.resolved(">=2.0", ["1.0", "1.9"])
 
 
 # --- build_graph ------------------------------------------------------------

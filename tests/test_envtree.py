@@ -66,20 +66,19 @@ def test_env_var_name_mapping():
 class TestRenderModulefile:
     def test_bin_only(self, tmp_path):
         (tmp_path / "bin").mkdir()
-        rendered = render_modulefile(make_recipe("hello", "1.0"), TARGET, tmp_path)
-        assert rendered.text == (
+        text = render_modulefile(make_recipe("hello", "1.0"), TARGET, tmp_path)
+        assert text == (
             "#%Module1.0\n"
             'module-whatis "hello/1.0 for x86_64-centos7-siteA (CODE-RADE pipeline)"\n'
             f"prepend-path PATH {tmp_path}/bin\n"
             f"setenv HELLO_DIR {tmp_path}\n"
         )
-        assert "LD_LIBRARY_PATH" not in rendered.text
+        assert "LD_LIBRARY_PATH" not in text
 
     def test_bin_and_lib_order(self, tmp_path):
         (tmp_path / "bin").mkdir()
         (tmp_path / "lib").mkdir()
-        rendered = render_modulefile(make_recipe("hello", "1.0"), TARGET, tmp_path)
-        lines = rendered.text.splitlines()
+        lines = render_modulefile(make_recipe("hello", "1.0"), TARGET, tmp_path).splitlines()
         assert lines[2] == f"prepend-path PATH {tmp_path}/bin"
         assert lines[3] == f"prepend-path LD_LIBRARY_PATH {tmp_path}/lib"
         assert lines[4] == f"setenv HELLO_DIR {tmp_path}"
@@ -93,7 +92,7 @@ class TestRenderModulefile:
         recipe = make_recipe("libdemo", "1.0")
         first = render_modulefile(recipe, TARGET, tmp_path)
         second = render_modulefile(recipe, TARGET, tmp_path)
-        assert first.text == second.text
+        assert first == second
 
 
 class TestDependencyModulePaths:
@@ -137,8 +136,8 @@ class TestDirectives:
     def test_round_trip_of_rendered_template(self, tmp_path):
         (tmp_path / "bin").mkdir()
         (tmp_path / "lib").mkdir()
-        rendered = render_modulefile(make_recipe("hello", "1.0"), TARGET, tmp_path)
-        directives = parse_directives(rendered.text)
+        text = render_modulefile(make_recipe("hello", "1.0"), TARGET, tmp_path)
+        directives = parse_directives(text)
         assert directives == [
             ("prepend-path", "PATH", f"{tmp_path}/bin"),
             ("prepend-path", "LD_LIBRARY_PATH", f"{tmp_path}/lib"),

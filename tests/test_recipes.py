@@ -24,7 +24,6 @@ from rade.recipes import (
     INDEX_NAME,
     MANIFEST_NAME,
     CommitEvent,
-    canonical_manifest,
     changed_recipes,
     load_corpus,
     load_event,
@@ -125,18 +124,6 @@ class TestParseManifest:
             targets={"include": ["*-*-sitea"], "exclude": []},
         )
         assert parse_manifest(text) == parse_manifest(text)
-
-    def test_round_trip_through_canonical_form(self):
-        text = minimal_manifest(
-            dependencies=[
-                {"name": "zlib", "constraint": ">=1.2"},
-                {"name": "fftw", "constraint": "=3.3"},
-            ],
-            researcher_tests=["tests/mve.sh"],
-            targets={"include": ["x86_64-*-*"], "exclude": ["*-*-siteb"]},
-        )
-        recipe = parse_manifest(text)
-        assert parse_manifest(canonical_manifest(recipe)) == recipe
 
 
 class TestLoadCorpus:
@@ -362,6 +349,12 @@ class TestEventSpool:
         mark_event_rejected(a)
         assert pending_events(spool) == [b]
         assert (spool / "a.json.rejected").is_file()
+
+    @pytest.mark.parametrize("event_id", ["évt-1", "", "-x", "a b", "a\nb", "a/b", "a:b"])
+    def test_event_id_outside_the_version_grammar_rejected(self, tmp_path, event_id):
+        path = write_event(tmp_path / "e.json", event_id, ["x"])
+        with pytest.raises(SchemaViolation, match="bad event_id"):
+            load_event(path)
 
     def test_schema_error_names_the_event(self, tmp_path):
         path = tmp_path / "e.json"

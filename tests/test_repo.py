@@ -1,16 +1,31 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import rade
+from rade import repo as repo_mod
 from rade.errors import (
     CorruptHead,
     PathCollision,
     StoreWriteFailure,
     TransactionInProgress,
 )
-from rade.repo import CHUNK_SIZE, Catalog, CatalogEntry, ObjectRef, Repository, sha256_hex
+from rade.repo import (
+    CHUNK_SIZE,
+    CatalogEntry,
+    ObjectRef,
+    Repository,
+    entry_line,
+    parse_line,
+    sha256_hex,
+)
+from toycorpus import Faulty, catalog_entries
 
 
 @pytest.fixture
@@ -38,7 +53,7 @@ class TestInitAndHead:
     def test_fresh_repo_is_revision_zero(self, repo):
         head = repo.read_head()
         assert head.revision == 0
-        assert repo.read_catalog(head.root_catalog).entries == ()
+        assert catalog_entries(repo, head) == {}
         assert (repo.path / ".revision").read_text() == "0\n"
 
     def test_init_is_idempotent(self, repo, tmp_path):
@@ -51,6 +66,13 @@ class TestInitAndHead:
 
     def test_malformed_head(self, repo):
         repo.head_path.write_text("garbage")
+        with pytest.raises(CorruptHead):
+            repo.read_head()
+
+    def test_non_ascii_head_is_corrupt(self, repo):
+        data = bytearray(repo.head_path.read_bytes())
+        data[-2] = 0xFF  # the last byte of the job id
+        repo.head_path.write_bytes(bytes(data))
         with pytest.raises(CorruptHead):
             repo.read_head()
 
@@ -83,6 +105,35 @@ class TestTransactions:
         finally:
             release.join()
         repo.abort(waited)
+
+    def test_stale_lock_file_does_not_block(self, repo):
+        repo.lock_path.write_text("tx-dead 999999\n")  # left by a dead writer
+        tx = repo.begin_transaction(wait_s=0)
+        repo.abort(tx)
+
+    def test_killed_lock_holder_frees_the_lock(self, repo):
+        hold = (
+            "import sys, time\n"
+            "from rade.repo import Repository\n"
+            "tx = Repository(sys.argv[1]).begin_transaction()\n"
+            "print('locked', flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(rade.__file__).parents[1])}
+        holder = subprocess.Popen(
+            [sys.executable, "-c", hold, str(repo.path)],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            assert holder.stdout.readline() == "locked\n"
+            with pytest.raises(TransactionInProgress):
+                repo.begin_transaction(wait_s=0)
+        finally:
+            holder.kill()  # SIGKILL: the holder gets no chance to clean up
+            holder.wait(timeout=10)
+            holder.stdout.close()
+        tx = repo.begin_transaction(wait_s=0)
+        repo.abort(tx)
 
 
 class TestStaging:
@@ -139,8 +190,7 @@ class TestPublish:
         tx = repo.begin_transaction()
         head = repo.publish(tx, "job-0")
         assert head.revision == 1
-        catalog = repo.read_catalog(head.root_catalog)
-        assert [e.path for e in catalog.entries] == [".revision"]
+        assert list(catalog_entries(repo, head)) == [".revision"]
         assert (repo.path / ".revision").read_text() == "1\n"
 
     def test_publish_stages_tree_content(self, repo, tmp_path):
@@ -150,7 +200,7 @@ class TestPublish:
         tx = repo.begin_transaction()
         repo.stage(tx, tree, "x86_64/linux/sitea/hello/1.0")
         head = repo.publish(tx, "job-1")
-        entries = repo.read_catalog(head.root_catalog).by_path()
+        entries = catalog_entries(repo, head)
         entry = entries["x86_64/linux/sitea/hello/1.0/bin/hello"]
         assert entry.mode == "executable"
         assert repo.object_path(entry.object.sha256).is_file()
@@ -192,7 +242,7 @@ class TestPublish:
         tx = repo.begin_transaction()
         repo.stage(tx, second, "apps/two")
         head = repo.publish(tx, "job-2")
-        paths = set(repo.read_catalog(head.root_catalog).by_path())
+        paths = set(catalog_entries(repo, head))
         assert {"apps/one/f", "apps/two/g", ".revision"} <= paths
 
     def test_restaged_prefix_drops_removed_files(self, repo, tmp_path):
@@ -207,7 +257,7 @@ class TestPublish:
         tx = repo.begin_transaction()
         repo.stage(tx, tree, "apps/d")
         head = repo.publish(tx, "job-2")
-        paths = set(repo.read_catalog(head.root_catalog).by_path())
+        paths = set(catalog_entries(repo, head))
         assert paths == {"apps/d/bin/a", "apps/d/lib/c", "apps/other/f", ".revision"}
 
     def test_empty_dirs_preserved(self, repo, tmp_path):
@@ -218,7 +268,7 @@ class TestPublish:
         tx = repo.begin_transaction()
         repo.stage(tx, tree, "apps/d")
         head = repo.publish(tx, "job-1")
-        entries = repo.read_catalog(head.root_catalog).by_path()
+        entries = catalog_entries(repo, head)
         assert entries["apps/d/var/empty"].mode == "directory"
 
 
@@ -229,7 +279,7 @@ class TestPublish:
         tx = repo.begin_transaction()
         repo.stage(tx, tmp_path / "t", "apps")
         head = repo.publish(tx, "job-1")
-        entry = repo.read_catalog(head.root_catalog).by_path()["apps/big"]
+        entry = catalog_entries(repo, head)["apps/big"]
         assert entry.object == ObjectRef(sha256_hex(data), len(data))
         assert repo.object_path(entry.object.sha256).read_bytes() == data
 
@@ -241,7 +291,7 @@ class TestPublish:
             tx = repo.begin_transaction()
             repo.stage(tx, tree, "apps")
             head = repo.publish(tx, job)
-        assert set(repo.read_catalog(head.root_catalog).by_path()) == {
+        assert set(catalog_entries(repo, head)) == {
             "apps/x\x1cy", ".revision"
         }
 
@@ -297,7 +347,7 @@ class TestFileParentCollision:
         tx = repo.begin_transaction()
         repo.stage(tx, tree, "a/e/b")
         head = repo.publish(tx, "job-2")
-        entries = repo.read_catalog(head.root_catalog).by_path()
+        entries = catalog_entries(repo, head)
         assert entries["a/e"].mode == "directory"
         assert entries["a/e/b/y"].mode == "file"
 
@@ -342,25 +392,69 @@ class TestStoreFailure:
         repo.abort(tx)
 
 
+def temporaries(repo):
+    """Temporaries left in objects/, catalogs/ or the repository root."""
+    found = [*repo.objects_dir.rglob("*"), *repo.catalogs_dir.rglob("*"), *repo.path.iterdir()]
+    return [p for p in found if p.name.endswith(".tmp")]
+
+
+def test_fault_at_every_replace_of_a_publish(tmp_path, monkeypatch):
+    """Fail publish's k-th os.replace for every k: the head stays old or new,
+    the repository verifies, nothing is left behind, and the same
+    transaction can publish."""
+    make_tree(tmp_path / "v1", {"a": "a1", "b": "b1"})
+    make_tree(tmp_path / "v2", {"a": "a2", "b": "b1", "c": "c2"})
+    k = 0
+    while True:
+        k += 1
+        repo = Repository.init(tmp_path / f"repo-{k}")
+        tx = repo.begin_transaction()
+        repo.stage(tx, tmp_path / "v1", "apps")
+        before = repo.publish(tx, "job-1")
+        tx = repo.begin_transaction()
+        repo.stage(tx, tmp_path / "v2", "apps")
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(repo_mod, "os", Faulty(os, ("replace",), calls, k))
+            try:
+                head = repo.publish(tx, "job-2")
+            except StoreWriteFailure:
+                head = None
+        if len(calls) < k:
+            assert head is not None
+            break  # publish made fewer than k calls: every call has been failed once
+        assert head is None, f"call {k} failed but publish went on"
+        seen = repo.read_head()
+        assert repo.verify().ok, repo.verify().problems()
+        assert temporaries(repo) == []
+        assert tx.state == "open"
+        head = repo.publish(tx, "job-2")  # a retry under the same lock
+        assert seen in (before, head)
+        assert head.revision == before.revision + 1
+        assert repo.verify().ok
+        assert temporaries(repo) == []
+    # the objects of a2 and c2, the catalog, .revision and HEAD
+    assert k == 6
+
+
 class TestCanonicalCatalog:
     def test_serialization_round_trip(self):
-        entries = (
+        for entry in (
             CatalogEntry("b/file", "file", ObjectRef("aa" * 32, 3)),
             CatalogEntry("a/exe", "executable", ObjectRef("bb" * 32, 9)),
             CatalogEntry("z/dir", "directory", None),
-        )
-        catalog = Catalog(entries)
-        data = catalog.serialize()
-        assert Catalog.parse(data).serialize() == data
+        ):
+            sha, size = (entry.object.sha256, entry.object.size) if entry.object else ("-", 0)
+            line = entry_line(entry.path, entry.mode, sha, size)
+            assert parse_line(line) == entry
 
-    def test_sorted_by_path_bytes(self):
-        entries = (
-            CatalogEntry("b", "file", ObjectRef("aa" * 32, 1)),
-            CatalogEntry("a", "file", ObjectRef("bb" * 32, 1)),
-        )
-        lines = Catalog(entries).serialize().decode().splitlines()
-        assert lines[0].startswith("a\t")
-        assert lines[1].startswith("b\t")
+    def test_sorted_by_path_bytes(self, repo, tmp_path):
+        make_tree(tmp_path / "t", {"b": "1", "a": "2"})
+        tx = repo.begin_transaction()
+        repo.stage(tx, tmp_path / "t", "apps")
+        head = repo.publish(tx, "job-1")
+        lines = repo.catalog_path(head.root_catalog.sha256).read_bytes().splitlines()
+        assert [line.split(b"\t")[0] for line in lines] == [b".revision", b"apps/a", b"apps/b"]
 
     def test_identical_content_identical_bytes(self, tmp_path):
         trees = []
@@ -389,7 +483,7 @@ class TestVerify:
         tx = repo.begin_transaction()
         repo.stage(tx, tree, "apps")
         head = repo.publish(tx, "job-1")
-        victim = repo.read_catalog(head.root_catalog).by_path()["apps/a"].object.sha256
+        victim = catalog_entries(repo, head)["apps/a"].object.sha256
         blob = repo.object_path(victim)
         data = bytearray(blob.read_bytes())
         data[0] ^= 0xFF
@@ -402,7 +496,7 @@ class TestVerify:
         tx = repo.begin_transaction()
         repo.stage(tx, tree, "apps")
         head = repo.publish(tx, "job-1")
-        sha = repo.read_catalog(head.root_catalog).by_path()["apps/a"].object.sha256
+        sha = catalog_entries(repo, head)["apps/a"].object.sha256
         repo.object_path(sha).unlink()
         report = repo.verify()
         assert report.missing_objects == [sha]
@@ -419,17 +513,16 @@ class TestVerify:
         assert any("revision" in e for e in report.errors)
 
 
-    def test_verify_head_names_the_first_problem(self, repo, tmp_path):
+    def test_problems_list_each_problem_once(self, repo, tmp_path):
         tree = make_tree(tmp_path / "t", {"a": "aaaa", "b": "bbbb"})
         tx = repo.begin_transaction()
         repo.stage(tx, tree, "apps")
         head = repo.publish(tx, "job-1")
-        repo.verify_head(head)
-        entries = repo.read_catalog(head.root_catalog).by_path()
+        assert repo.verify().problems() == []
+        entries = catalog_entries(repo, head)
         bad, gone = (entries[p].object.sha256 for p in ("apps/a", "apps/b"))
         repo.object_path(bad).write_bytes(b"flipped")
-        with pytest.raises(CorruptHead, match=f"object {bad} fails its digest"):
-            repo.verify_head(head)
+        assert repo.verify().problems() == [f"object {bad} fails its digest"]
         repo.object_path(gone).unlink()
         assert repo.verify().problems() == [
             f"object {bad} fails its digest",
@@ -445,8 +538,8 @@ class TestConcurrentReaders:
         def reader():
             while not stop.is_set():
                 try:
-                    head = repo.read_head()
-                    repo.verify_head(head)
+                    report = repo.verify()
+                    assert report.ok, report.problems()
                 except Exception as exc:  # noqa: BLE001
                     violations.append(repr(exc))
                     return

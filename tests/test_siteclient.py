@@ -5,12 +5,12 @@ import shutil
 
 import pytest
 
-from rade import siteclient
+from rade import repo as repo_mod, siteclient
 from rade.errors import IntegrityError, InvariantViolation, NotDelivered
 from rade.repo import DIRECTORY, EXECUTABLE, Repository
 from rade.siteclient import CHANGED, GENERATIONS, UNCHANGED, SiteCache
 from rade.targets import Target
-from toycorpus import deliver_and_publish, make_workspace
+from toycorpus import Faulty, catalog_entries, deliver_and_publish, make_workspace
 
 TARGET = Target("x86_64", "linux", "sitea")
 
@@ -101,7 +101,7 @@ class TestSync:
         deliver_and_publish(ws, ["app/1.0/build.sh"], event_id="evt-corrupt")
         repo = Repository.open(ws.repo_path)
         new_head = repo.read_head()
-        entries = repo.read_catalog(new_head.root_catalog).by_path()
+        entries = catalog_entries(repo, new_head)
         victim = entries["x86_64/linux/sitea/app/1.0/bin/app"].object.sha256
         blob = repo.object_path(victim)
         data = bytearray(blob.read_bytes())
@@ -117,7 +117,7 @@ class TestSync:
         ws, *_ = published_ws
         repo = Repository.open(ws.repo_path)
         head = repo.read_head()
-        entries = repo.read_catalog(head.root_catalog).by_path()
+        entries = catalog_entries(repo, head)
         victim = entries["x86_64/linux/sitea/hello/1.0/bin/hello"].object.sha256
         blob = repo.object_path(victim)
         blob.write_bytes(b"corrupted")
@@ -240,8 +240,8 @@ def test_delta_sync_touches_only_changed_paths(published_ws):
     spare = cache.cache_root / next(
         g for g in GENERATIONS if g != os.readlink(cache.tree_root)
     )
-    have = repo.read_catalog(first.root_catalog).by_path()
-    wanted = repo.read_catalog(head.root_catalog).by_path()
+    have = catalog_entries(repo, first)
+    wanted = catalog_entries(repo, head)
     before = {
         path: os.stat(spare / path) for path, e in have.items() if e.mode != DIRECTORY
     }
@@ -293,7 +293,7 @@ def tree_state(root):
 def catalog_state(repo, head):
     """The tree_state a head's catalog describes."""
     state = {}
-    for e in repo.read_catalog(head.root_catalog).entries:
+    for e in catalog_entries(repo, head).values():
         parts = e.path.split("/")
         state.update(("/".join(parts[:i]), None) for i in range(1, len(parts)))
         if e.mode == DIRECTORY:
@@ -327,7 +327,7 @@ def test_tree_files_are_read_only(three_heads, tmp_path):
     cache = SiteCache(repo.path, tmp_path / "cache")
     for head in (h1, h2, h3):
         cache.sync(head)  # the third sync links and copies into a spare
-        for e in repo.read_catalog(head.root_catalog).entries:
+        for e in catalog_entries(repo, head).values():
             if e.mode != DIRECTORY:
                 mode = os.stat(cache.tree_root / e.path).st_mode & 0o777
                 assert mode == (0o555 if e.mode == EXECUTABLE else 0o444), e.path
@@ -351,7 +351,7 @@ def test_payload_names_do_not_collide_with_sync_temporaries(tmp_path):
 
 def test_removed_files_and_emptied_directories_leave_the_site(three_heads, tmp_path):
     repo, (h1, h2, h3) = three_heads
-    entries = repo.read_catalog(h3.root_catalog).by_path()
+    entries = catalog_entries(repo, h3)
     assert "apps/demo/bin/b" not in entries
     assert entries["apps/demo/var/empty"].mode == DIRECTORY
     cache = SiteCache(repo.path, tmp_path / "cache")
@@ -363,36 +363,15 @@ def test_removed_files_and_emptied_directories_leave_the_site(three_heads, tmp_p
     assert not (tree / "share").exists()
 
 
-class _Faulty:
-    """A module whose named functions raise OSError on the k-th call among all
-    the functions wrapped with the same ``calls`` list."""
-
-    def __init__(self, module, names, calls, k):
-        self._module = module
-        for name in names:
-            setattr(self, name, self._wrap(getattr(module, name), calls, k))
-
-    @staticmethod
-    def _wrap(fn, calls, k):
-        def faulty(*args, **kwargs):
-            calls.append(fn.__name__)
-            if len(calls) == k:
-                raise OSError(f"injected fault at call {k} ({fn.__name__})")
-            return fn(*args, **kwargs)
-
-        return faulty
-
-    def __getattr__(self, name):
-        return getattr(self._module, name)
-
-
 def sync_with_fault(monkeypatch, cache, head, k):
-    """Sync with the k-th os.replace / os.link / shutil.copyfile call failing;
-    returns the calls made and whether the sync raised."""
+    """Sync with the k-th os.replace / os.link / shutil.copyfile call failing,
+    counting the os.replace calls of the write path in rade.repo too; returns
+    the calls made and whether the sync raised."""
     calls = []
     with monkeypatch.context() as m:
-        m.setattr(siteclient, "os", _Faulty(os, ("replace", "link"), calls, k))
-        m.setattr(siteclient, "shutil", _Faulty(shutil, ("copyfile",), calls, k))
+        m.setattr(siteclient, "os", Faulty(os, ("replace", "link"), calls, k))
+        m.setattr(siteclient, "shutil", Faulty(shutil, ("copyfile",), calls, k))
+        m.setattr(repo_mod, "os", Faulty(os, ("replace",), calls, k))
         try:
             cache.sync(head)
         except OSError:
@@ -425,7 +404,7 @@ def test_fault_at_every_call_of_a_delta_sync(three_heads, tmp_path, monkeypatch)
             ".tree.a", ".tree.a.catalog", ".tree.b", ".tree.b.catalog",
             "head", "objects", "tree",
         ]
-    assert k > 10
+    assert k == 15  # each fetch, link, copy and rename of this delta sync
     assert {"replace", "link", "copyfile"} <= set(calls)
 
 
@@ -491,7 +470,7 @@ def test_paths_with_one_object_and_mode_share_one_copy(tmp_path):
 
 def test_failed_fetch_leaves_no_temporary(three_heads, tmp_path):
     repo, (h1, h2, h3) = three_heads
-    sha = repo.read_catalog(h3.root_catalog).by_path()["apps/demo/new/deep/f"].object.sha256
+    sha = catalog_entries(repo, h3)["apps/demo/new/deep/f"].object.sha256
     repo.object_path(sha).write_bytes(b"not f3")
     cache = SiteCache(repo.path, tmp_path / "cache")
     cache.sync(h2)

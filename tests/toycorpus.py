@@ -365,6 +365,42 @@ def deliver_and_publish(ws: Workspace, changed_paths, event_id="evt-pub"):
     return config, corpus, graph, head
 
 
+def catalog_entries(repo, head) -> dict:
+    """path -> CatalogEntry of a head's catalog, in catalog order, read the
+    way every reader reads it: through the digest-checked lines."""
+    from rade.repo import parse_line
+
+    entries = {}
+    for line in repo.catalog_lines(head.root_catalog.sha256):
+        entry = parse_line(line)
+        assert entry.path not in entries, f"{entry.path} listed twice"
+        entries[entry.path] = entry
+    return entries
+
+
+class Faulty:
+    """A module whose named functions raise OSError on the k-th call among all
+    the functions wrapped with the same ``calls`` list."""
+
+    def __init__(self, module, names, calls, k):
+        self._module = module
+        for name in names:
+            setattr(self, name, self._wrap(getattr(module, name), calls, k))
+
+    @staticmethod
+    def _wrap(fn, calls, k):
+        def faulty(*args, **kwargs):
+            calls.append(fn.__name__)
+            if len(calls) == k:
+                raise OSError(f"injected fault at call {k} ({fn.__name__})")
+            return fn(*args, **kwargs)
+
+        return faulty
+
+    def __getattr__(self, name):
+        return getattr(self._module, name)
+
+
 def write_event(
     path: Path, event_id: str, changed_paths: list[str], timestamp: int = 1700000000
 ) -> Path:
