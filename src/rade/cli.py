@@ -169,13 +169,19 @@ def cmd_status(args) -> int:
     else:
         print("no run recorded")
     try:
-        head = repo_mod.Repository.open(config.repo_path).read_head()
-        print(
-            f"repo revision {head.revision} job {head.job_id} "
-            f"catalog {head.root_catalog.sha256}"
-        )
-    except RadeError:
+        repository = repo_mod.Repository.open(config.repo_path)
+    except RadeError:  # no HEAD
         print("repo not initialized")
+        return EXIT_OK
+    try:
+        head = repository.read_head()
+    except RadeError as exc:
+        print(f"repo error: {exc}")
+        return EXIT_OK
+    print(
+        f"repo revision {head.revision} job {head.job_id} "
+        f"catalog {head.root_catalog.sha256}"
+    )
     return EXIT_OK
 
 
@@ -200,7 +206,8 @@ def _read_publication(manifest: Path) -> pipeline.PublicationRequest:
         doc = {}
     job_id, stages = doc.get("job_id"), doc.get("stages")
     if not (
-        isinstance(job_id, str)
+        # the job id ends the HEAD line, as an event id does
+        isinstance(job_id, str) and recipes.EVENT_ID_RE.match(job_id)
         and isinstance(stages, list)
         and all(
             isinstance(stage, list) and len(stage) == 2
@@ -210,7 +217,8 @@ def _read_publication(manifest: Path) -> pipeline.PublicationRequest:
     ):
         raise ConfigError(
             f"bad publication record {manifest}: "
-            "expected a job_id string and [path, prefix] string pairs in stages"
+            "expected a job_id in the event_id grammar and "
+            "[path, prefix] string pairs in stages"
         )
     return pipeline.PublicationRequest(
         job_id=job_id, stages=tuple((Path(p), rp) for p, rp in stages)

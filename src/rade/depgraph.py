@@ -68,11 +68,13 @@ class BuildPlan:
 
 def build_graph(corpus: Corpus) -> DependencyGraph:
     """Resolve every dependency against the corpus and verify acyclicity."""
+    versions: dict[str, list[str]] = defaultdict(list)
+    for name, version in corpus.recipes:
+        versions[name].append(version)
     constraints: dict[str, list[tuple[Node, VersionConstraint]]] = defaultdict(list)
     for recipe in corpus.recipes.values():
         for dep in recipe.dependencies:
-            available = corpus.versions_of(dep.name)
-            if not available:
+            if dep.name not in versions:
                 raise UnknownDependency(
                     f"{recipe.name}/{recipe.version} depends on unknown {dep.name!r}"
                 )
@@ -80,7 +82,7 @@ def build_graph(corpus: Corpus) -> DependencyGraph:
 
     chosen: dict[str, str] = {}
     for name, wanted in constraints.items():
-        available = corpus.versions_of(name)
+        available = versions[name]
         satisfying = [
             v for v in available if all(c.accepts(v) for (_, c) in wanted)
         ]

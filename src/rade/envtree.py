@@ -19,6 +19,8 @@ DEPLOY = "deploy"
 
 MODULEFILES_DIR = "modulefiles"
 
+SAFE_PATH = "/usr/bin:/bin"  # the PATH a phase script or researcher test starts from
+
 
 @dataclass(frozen=True)
 class EnvTree:
@@ -104,6 +106,12 @@ def module_path_for_dependencies(
             )
         paths.append(path)
     return paths
+
+
+def script_argv(script: Path) -> list[str]:
+    """Start a phase script or researcher test itself when it has an exec
+    bit, else through ``/bin/sh``."""
+    return [str(script)] if os.access(script, os.X_OK) else ["/bin/sh", str(script)]
 
 
 # The three directive forms the rendered template can contain; the site client

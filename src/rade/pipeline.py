@@ -22,12 +22,14 @@ from pathlib import Path
 from . import envtree  # looked up per call, so a wrapper set on the module applies
 from .depgraph import BuildPlan, DependencyGraph, build_order, rebuild_set
 from .envtree import (
+    SAFE_PATH,
     EnvTree,
     apply_directives,
     modulefile_rel,
     parse_directives,
     prefix_for,
     prefix_rel,
+    script_argv,
     write_modulefile,
 )
 from .errors import (
@@ -45,8 +47,6 @@ from .repo import copy_verified, hash_file
 from .targets import MatrixConfig, Target, expand, target_id
 
 log = logging.getLogger(__name__)
-
-SAFE_PATH = "/usr/bin:/bin"
 
 PENDING = "Pending"
 BUILDING = "Building"
@@ -273,13 +273,12 @@ class JobRunner:
     def _run_script(self, job: Job, script: Path, env: dict[str, str], cwd: Path) -> int:
         """Run one phase script; captured output is appended to the job log."""
         script = Path(script)
-        argv = [str(script)] if os.access(script, os.X_OK) else ["/bin/sh", str(script)]
         with open(job.log_path, "a", encoding="utf-8") as fh:
             fh.write(f"$ {script}\n")
             fh.flush()
             try:
                 proc = subprocess.run(
-                    argv,
+                    script_argv(script),
                     stdout=fh,
                     stderr=subprocess.STDOUT,
                     env=env,

@@ -2,8 +2,8 @@
 
 A corpus is a directory tree ``<root>/<name>/<version>/rade.json`` with the
 three phase scripts (and any researcher tests) stored alongside the manifest.
-A :class:`CorpusIndex` lets a load skip the directories and recipes whose
-files have not changed since the last load. Commit events arrive as JSON
+A :class:`CorpusIndex` lets a load skip reading and parsing the recipes
+whose files have not changed since the last load. Commit events arrive as JSON
 documents naming changed corpus-relative paths.
 """
 from __future__ import annotations
@@ -32,12 +32,12 @@ log = logging.getLogger(__name__)
 
 MANIFEST_NAME = "rade.json"
 INDEX_NAME = "corpus-index.json"  # kept in the orchestrator's workdir
-INDEX_FORMAT = "rade-corpus-index/1"
+INDEX_FORMAT = "rade-corpus-index/2"
 
 _NAME_RE = re.compile(r"[a-z0-9][a-z0-9._-]*\Z")
 # a version names a directory in every prefix, build, source and log path;
 # an event id, which ends the HEAD line, has the same grammar
-_VERSION_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._+-]*\Z")
+_VERSION_RE = EVENT_ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._+-]*\Z")
 _SHA256_RE = re.compile(r"[0-9a-f]{64}\Z")
 
 
@@ -200,10 +200,6 @@ class Corpus:
     root: Path
     recipes: dict[tuple[str, str], Recipe] = field(default_factory=dict)
     dirs: dict[tuple[str, str], str] = field(default_factory=dict)
-    _versions: dict[str, list[str]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _indexed: int = field(default=0, init=False, repr=False, compare=False)
 
     def __contains__(self, key) -> bool:
         return key in self.recipes
@@ -214,66 +210,37 @@ class Corpus:
     def recipe_dir(self, key: tuple[str, str]) -> Path:
         return self.root / self.dirs[key]
 
-    def versions_of(self, name: str) -> list[str]:
-        if self._indexed != len(self.recipes):  # recipes are only ever added
-            self._versions = {}
-            for n, v in self.recipes:
-                self._versions.setdefault(n, []).append(v)
-            self._indexed = len(self.recipes)
-        return list(self._versions.get(name, ()))
 
-
-def _list_dir(path: str) -> tuple[list[str] | None, str | None]:
-    """``(subdirectories, manifest)`` of one directory.
-
-    ``subdirectories`` names the entries that are directories and not
-    symlinks, and is None when the directory cannot be listed. ``manifest`` is
-    None, ``"entry"`` or ``"symlink"``: how an entry named ``rade.json``
-    appears in the listing.
-    """
-    try:
-        with os.scandir(path) as listing:
-            entries = list(listing)
-    except PermissionError:
-        return None, None
-    subdirs, manifest = [], None
-    for entry in entries:
-        if entry.name == MANIFEST_NAME:
-            manifest = "symlink" if entry.is_symlink() else "entry"
-        if entry.is_dir(follow_symlinks=False):
-            subdirs.append(entry.name)
-    return subdirs, manifest
-
-
-def _find_manifests(root: Path, index: CorpusIndex | None = None) -> list[tuple[str, str]]:
+def _find_manifests(root: Path) -> list[tuple[str, str]]:
     """Every manifest below ``root`` as ``(relative directory, path)``.
 
     Finds what ``root.rglob(MANIFEST_NAME)`` finds: symlinked directories are
     not descended, a directory that cannot be listed is skipped, and a
     manifest name whose target does not exist (a dangling symlink) is left
-    out. One ``scandir`` per directory, none where ``index`` vouches for the
-    listing; entry types stand in for stat calls. The order is that of
-    ``sorted()`` over the manifests' ``Path``s, i.e. by path components, so
-    ``a/b`` comes before ``a-b``. The relative directory is ``"."`` for a
-    manifest at the root.
+    out. One ``scandir`` per directory; entry types stand in for stat calls.
+    The order is that of ``sorted()`` over the manifests' ``Path``s, i.e. by
+    path components, so ``a/b`` comes before ``a-b``. The relative directory
+    is ``"."`` for a manifest at the root.
     """
     found = []
     if not root.is_dir():
         return found
     top = os.path.join(root, "")  # directory paths end in a separator
-    listing = _list_dir if index is None else index.listing
     pending = [top]
     while pending:
         path = pending.pop()
-        subdirs, manifest = listing(path)
-        if subdirs is None:
+        try:
+            with os.scandir(path) as listing:
+                entries = list(listing)
+        except PermissionError:
             continue
-        if manifest is not None:
-            manifest_path = path + MANIFEST_NAME
-            # a symlink's target may come and go while its directory stays the same
-            if manifest == "entry" or os.path.exists(manifest_path):
-                found.append((path[len(top):-1] or ".", manifest_path))
-        pending += [path + name + "/" for name in subdirs]
+        for entry in entries:
+            if entry.name == MANIFEST_NAME and (
+                not entry.is_symlink() or os.path.exists(entry.path)
+            ):
+                found.append((path[len(top):-1] or ".", entry.path))
+            if entry.is_dir(follow_symlinks=False):
+                pending.append(entry.path + "/")
     # NUL sorts below any character a name can hold, so the joined strings
     # sort as their component tuples do
     found.sort(key=lambda item: item[1].replace("/", "\0"))
@@ -283,13 +250,6 @@ def _find_manifests(root: Path, index: CorpusIndex | None = None) -> list[tuple[
 def _signature(st: os.stat_result) -> list[int]:
     """What the index compares: a list, the shape JSON gives back."""
     return [st.st_mtime_ns, st.st_ctime_ns, st.st_size, st.st_ino]
-
-
-def _stat_signature(path: str) -> list[int] | None:
-    try:
-        return _signature(os.stat(path))
-    except OSError:
-        return None
 
 
 def _read_manifest(path: str) -> tuple[str, list[int]]:
@@ -312,7 +272,7 @@ def scan_corpus(root: Path, index: CorpusIndex | None = None):
     taken from it, and every recipe read afresh is recorded in it.
     """
     root = Path(root)
-    for rel_dir, manifest_path in _find_manifests(root, index):
+    for rel_dir, manifest_path in _find_manifests(root):
         if index is not None:
             recipe = index.unchanged(rel_dir, manifest_path)
             if recipe is not None:
@@ -417,13 +377,18 @@ def _recipe_from_fields(fields: list, parts: list) -> Recipe:
 
 
 class CorpusIndex:
-    """A stat-validated record of one corpus walk, kept as a JSON file.
+    """A stat-validated record of the recipes one load found, kept as a JSON file.
 
     As git's index does, it trusts a cached result while the files it came
     from keep their signature ``(st_mtime_ns, st_ctime_ns, st_size, st_ino)``:
-    a directory whose signature is unchanged has the same entries, and a
-    recipe whose manifest and three phase scripts (after symlinks) keep theirs
-    parses to the same :class:`Recipe` and passes the same file checks.
+    a recipe whose manifest and three phase scripts (after symlinks) keep
+    theirs parses to the same :class:`Recipe` and passes the same file checks.
+
+    It vouches for recipes only: every load lists the directories with
+    :func:`_find_manifests`, as a load without an index does. A corpus
+    directory holds a few entries, so listing it costs about what the
+    ``stat`` that would vouch for a kept listing costs, and no workload has
+    directories big enough to pay for a second way to walk the corpus.
 
     The file's mtime is its write time: that of its temporary file when it
     was created, before anything it records afresh was stat-ed. A signature
@@ -438,30 +403,27 @@ class CorpusIndex:
     def __init__(self, path: Path, root: Path):
         self.path = Path(path)
         self.root = os.path.abspath(root)
-        self._top = len(os.path.join(root, ""))  # see _find_manifests
-        self._known_dirs, self._known_recipes = self._read()
-        self.dirs: dict[str, list] = {}  # what this walk saw, as the file holds it
-        self.recipes: dict[str, tuple[list, Recipe]] = {}
+        self._known_recipes = self._read()
+        self.recipes: dict[str, tuple[list, Recipe]] = {}  # what this walk saw
         self._tmp: tuple[int, str, int] | None = None  # fd, name, mtime_ns
         self._writable = True
 
-    def _read(self) -> tuple[dict, dict]:
+    def _read(self) -> dict[str, tuple[list, Recipe]]:
         try:
             with open(self.path, "rb") as f:
                 digest, _, payload = f.read().partition(b"\n")
             if hashlib.sha256(payload).hexdigest().encode() != digest:
-                return {}, {}
+                return {}
             doc = json.loads(payload)
             if doc["format"] != INDEX_FORMAT or doc["root"] != self.root:
-                return {}, {}
+                return {}
             parts = _shared_parts(doc["shared"])
-            recipes = {
+            return {
                 rel: (signatures, _recipe_from_fields(fields, parts))
                 for rel, (signatures, fields) in doc["recipes"].items()
             }
-            return doc["dirs"], recipes
         except (OSError, ValueError, LookupError, TypeError, RadeError):
-            return {}, {}
+            return {}
 
     def _begin(self) -> None:
         """Create the new index's temporary file before any fresh ``stat``."""
@@ -476,20 +438,6 @@ class CorpusIndex:
             return
         self._tmp = (fd, name, os.fstat(fd).st_mtime_ns)
 
-    def listing(self, path: str) -> tuple[list[str] | None, str | None]:
-        """:func:`_list_dir` of ``path``, from the index while it is unchanged."""
-        rel = path[self._top:]  # "" for the root, else ends in a separator
-        known = self._known_dirs.get(rel)
-        if known is not None and _stat_signature(path) == known[0]:
-            self.dirs[rel] = known
-            return known[1], known[2]
-        self._begin()
-        signature = _stat_signature(path)
-        subdirs, manifest = _list_dir(path)
-        if signature is not None:
-            self.dirs[rel] = [signature, subdirs, manifest]
-        return subdirs, manifest
-
     def unchanged(self, rel_dir: str, manifest_path: str) -> Recipe | None:
         """The recorded recipe of ``rel_dir`` if none of its files changed."""
         known = self._known_recipes.get(rel_dir)
@@ -497,10 +445,10 @@ class CorpusIndex:
             signatures, recipe = known
             current = []
             for path in (manifest_path, *_script_paths(recipe, manifest_path)):
-                signature = _stat_signature(path)
-                if signature is None:  # gone: read afresh, which reports why
+                try:
+                    current += _signature(os.stat(path))
+                except OSError:  # gone: read afresh, which reports why
                     break
-                current += signature
             if current == signatures:
                 self.recipes[rel_dir] = known
                 return recipe
@@ -535,7 +483,6 @@ class CorpusIndex:
         doc = {
             "format": INDEX_FORMAT,
             "root": self.root,
-            "dirs": {rel: d for rel, d in self.dirs.items() if settled(d[0])},
             "recipes": {
                 rel: [signatures, _recipe_fields(recipe, shared)]
                 for rel, (signatures, recipe) in self.recipes.items()
@@ -640,7 +587,7 @@ def load_event(path: Path) -> CommitEvent:
         if not isinstance(doc, dict):
             raise MalformedManifest("event must be a JSON object")
         event_id = _require(doc, "event_id", str, "")
-        if not _VERSION_RE.match(event_id):
+        if not EVENT_ID_RE.match(event_id):
             raise SchemaViolation(f"bad event_id {event_id!r}")
         changed = tuple(
             _string_list(_require(doc, "changed_paths", list, ""), "changed_paths")

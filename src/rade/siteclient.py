@@ -15,11 +15,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .envtree import (
+    SAFE_PATH,
     apply_directives,
     env_var_name,
     modulefile_rel,
     parse_directives,
     prefix_rel,
+    script_argv,
 )
 from .errors import IntegrityError, InvariantViolation, NotDelivered, RadeError
 from .repo import (
@@ -327,7 +329,7 @@ class SiteCache:
             )
         directives = parse_directives(module.read_text(encoding="utf-8"))
         env = apply_directives(
-            {"PATH": "/usr/bin:/bin"},
+            {"PATH": SAFE_PATH},
             _relocate(directives, recipe.name, rel, str(prefix)),
         )
         chunks = []
@@ -335,9 +337,8 @@ class SiteCache:
         tests_run = 0
         for rel in recipe.researcher_tests:
             script = Path(recipe_dir) / rel
-            argv = [str(script)] if os.access(script, os.X_OK) else ["/bin/sh", str(script)]
             proc = subprocess.run(
-                argv,
+                script_argv(script),
                 capture_output=True,
                 text=True,
                 env=env,

@@ -66,8 +66,6 @@ class VersionConstraint:
         if not self.low or (self.kind == RANGE and not self.high):
             raise SchemaViolation("constraint bounds must be non-empty")
         if self.kind == RANGE:
-            if self.high is None:
-                raise SchemaViolation("range constraint requires an upper bound")
             if version_cmp(self.low, self.high) >= 0:
                 raise InvariantViolation(
                     f"empty range: {self.low!r} is not below {self.high!r}"

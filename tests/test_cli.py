@@ -333,6 +333,9 @@ class TestStatusAndPublish:
         head.write_bytes(bytes(data))
         capsys.readouterr()
         assert run_cli("status", "--config", ws.config_path) == 0
+        # a HEAD that exists but cannot be read is not a missing repository
+        status = capsys.readouterr().out.splitlines()[-1]
+        assert status.startswith("repo error: cannot read HEAD: ")
         assert run_cli("verify", "--config", ws.config_path) == 1
         assert "cannot read HEAD" in capsys.readouterr().out
         assert run_cli("sync", "--repo", ws.repo_path, "--cache", ws.root / "c") == 1
@@ -349,8 +352,20 @@ class TestStatusAndPublish:
 
     @pytest.mark.parametrize(
         "record",
-        ["{broken", '{"job_id": "x"}', '{"job_id": 7, "stages": []}', '[]'],
-        ids=["malformed", "no_stages", "job_id_not_a_string", "not_an_object"],
+        [
+            "{broken",
+            '{"job_id": "x"}',
+            '{"job_id": 7, "stages": []}',
+            '[]',
+            '{"job_id": "\\u00e9vt-9", "stages": []}',
+        ],
+        ids=[
+            "malformed",
+            "no_stages",
+            "job_id_not_a_string",
+            "not_an_object",
+            "job_id_outside_grammar",
+        ],
     )
     def test_bad_publication_record_is_config_error(self, ws, capsys, record):
         ws.workdir.mkdir()

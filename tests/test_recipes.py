@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -135,7 +136,7 @@ class TestLoadCorpus:
         corpus = load_corpus(tmp_path / "corpus")
         assert len(corpus) == 3
         assert ("hello", "1.0") in corpus
-        assert corpus.versions_of("libdemo") == ["1.0"]
+        assert [v for n, v in corpus.recipes if n == "libdemo"] == ["1.0"]
 
     def test_duplicate_name_version_rejected(self, tmp_path):
         corpus_root = tmp_path / "corpus"
@@ -376,6 +377,14 @@ def outcome(load):
     return list(corpus.recipes.items()), list(corpus.dirs.items())
 
 
+def retagged(data: bytes) -> bytes:
+    """An index under the first format's tag, with a digest that fits."""
+    doc = json.loads(data.partition(b"\n")[2])
+    doc["format"] = "rade-corpus-index/1"
+    payload = json.dumps(doc).encode()
+    return hashlib.sha256(payload).hexdigest().encode() + b"\n" + payload
+
+
 @pytest.fixture
 def parses(monkeypatch):
     """The name of every recipe parsed from here on."""
@@ -498,8 +507,9 @@ class TestCorpusIndex:
             lambda data: b"",
             lambda data: data[: len(data) // 2],
             lambda data: data.replace(b'"gamma"', b'"gamm4"'),  # the digest no longer fits
+            retagged,
         ],
-        ids=["garbage", "empty", "truncated", "flipped"],
+        ids=["garbage", "empty", "truncated", "flipped", "foreign_format"],
     )
     def test_corrupt_index_means_a_full_scan(self, layout, parses, damage):
         root, index = layout
