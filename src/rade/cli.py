@@ -15,7 +15,7 @@ from pathlib import Path
 from . import depgraph, pipeline, recipes, repo as repo_mod, siteclient
 from .config import load_config
 from .envtree import DEPLOY, INTEGRATION, EnvTree
-from .errors import ConfigError, RadeError
+from .errors import ConfigError, RadeError, SchemaViolation
 from .targets import parse_target_id
 
 log = logging.getLogger(__name__)
@@ -30,6 +30,20 @@ LAST_RUN_REPORT = "last-run.txt"
 
 def _load_corpus(config) -> recipes.Corpus:
     return recipes.load_corpus(config.corpus_root, config.workdir / recipes.INDEX_NAME)
+
+
+def _find_recipe(config, key: tuple[str, str]) -> tuple[recipes.Recipe, Path]:
+    """One recipe and its directory: from the corpus index if it vouches for
+    them, else from a full load."""
+    found = recipes.find_recipe(
+        config.corpus_root, config.workdir / recipes.INDEX_NAME, key
+    )
+    if found is not None:
+        return found
+    corpus = _load_corpus(config)
+    if key not in corpus:
+        raise ConfigError(f"unknown recipe {key[0]}/{key[1]}")
+    return corpus.recipes[key], corpus.recipe_dir(key)
 
 
 def _build_runner(config):
@@ -113,13 +127,15 @@ def cmd_run(args) -> int:
     for path in paths:
         try:
             event = recipes.load_event(path)
+            if event.event_id in seen_ids:
+                raise SchemaViolation(
+                    f"{path}: duplicate event_id {event.event_id!r} in spool"
+                )
         except RadeError as exc:  # set aside, so it cannot hold up later events
             print(f"error: {exc}", file=sys.stderr)
             recipes.mark_event_rejected(path)
             status = max(status, EXIT_JOB_FAILURE)
             continue
-        if event.event_id in seen_ids:
-            raise ConfigError(f"duplicate event_id {event.event_id!r} in spool")
         seen_ids.add(event.event_id)
         rc = _run_one_event(config, runner, corpus, graph, event)
         recipes.mark_event_done(path)
@@ -255,19 +271,14 @@ def cmd_mve(args) -> int:
         name, version = args.recipe.split("/", 1)
     except ValueError:
         raise ConfigError("recipe must be given as <name>/<version>") from None
-    corpus = _load_corpus(config)
-    if (name, version) not in corpus:
-        raise ConfigError(f"unknown recipe {args.recipe}")
-    recipe = corpus.recipes[(name, version)]
+    recipe, recipe_dir = _find_recipe(config, (name, version))
     try:
         target = parse_target_id(args.target)
     except RadeError as exc:
         raise ConfigError(str(exc)) from exc
     repo_path = Path(args.repo) if args.repo else config.repo_path
     cache = siteclient.SiteCache(repo_path, Path(args.cache))
-    report = cache.run_mve(
-        recipe, target, corpus.recipe_dir((name, version)), config.phase_timeout_s
-    )
+    report = cache.run_mve(recipe, target, recipe_dir, config.phase_timeout_s)
     print(report.output, end="")
     print(
         f"MVE {'pass' if report.passed else 'fail'}: {args.recipe} "

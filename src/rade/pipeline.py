@@ -103,6 +103,9 @@ class Job:
     finished: float | None = None
     transitions: list[tuple[str, float]] = field(default_factory=list)
     payload: list[tuple[Path, str]] = field(default_factory=list)
+    # phase environments by tree kind while the job runs: build and test
+    # share the integration one
+    envs: dict[str, dict[str, str]] = field(default_factory=dict, repr=False)
 
     @property
     def key(self) -> tuple[str, str, str]:
@@ -216,7 +219,11 @@ class JobRunner:
     # -- environment -------------------------------------------------------
 
     def _phase_env(self, job: Job, tree: EnvTree) -> dict[str, str]:
-        """The child environment of a phase that installs into ``tree``."""
+        """The child environment of a phase that installs into ``tree``,
+        worked out once per job and tree: the dependencies it reads were
+        delivered before the job started."""
+        if tree.kind in job.envs:
+            return job.envs[tree.kind]
         prefix_var = "DEPLOY_PREFIX" if tree.kind == envtree.DEPLOY else "INSTALL_PREFIX"
         dep_modules = envtree.module_path_for_dependencies(
             self.graph, self._recipe(job), tree, job.target
@@ -240,6 +247,7 @@ class JobRunner:
         )
         # load_config rejects site bindings of RESERVED_ENV_NAMES
         env.update(self.matrix.extra_env(job.target.site))
+        job.envs[tree.kind] = env
         return env
 
     # -- source fetching ---------------------------------------------------
@@ -413,6 +421,7 @@ class JobRunner:
             job.reason = f"internal error: {exc!r}"
             self._log_line(job, job.reason)
         job.finished = time.time()
+        job.envs.clear()  # only the phases need them, not the report
 
     # -- scheduling --------------------------------------------------------
 

@@ -3,7 +3,9 @@
 A corpus is a directory tree ``<root>/<name>/<version>/rade.json`` with the
 three phase scripts (and any researcher tests) stored alongside the manifest.
 A :class:`CorpusIndex` lets a load skip reading and parsing the recipes
-whose files have not changed since the last load. Commit events arrive as JSON
+whose files have not changed since the last load, lets ``rade mve`` look up
+one recipe without a load (:func:`find_recipe`), and keeps the resolved
+dependency edges of the recipes it records. Commit events arrive as JSON
 documents naming changed corpus-relative paths.
 """
 from __future__ import annotations
@@ -32,7 +34,7 @@ log = logging.getLogger(__name__)
 
 MANIFEST_NAME = "rade.json"
 INDEX_NAME = "corpus-index.json"  # kept in the orchestrator's workdir
-INDEX_FORMAT = "rade-corpus-index/2"
+INDEX_FORMAT = "rade-corpus-index/3"
 
 _NAME_RE = re.compile(r"[a-z0-9][a-z0-9._-]*\Z")
 # a version names a directory in every prefix, build, source and log path;
@@ -193,13 +195,24 @@ def parse_manifest(text: str) -> Recipe:
     )
 
 
+Edge = tuple[tuple[str, str], tuple[str, str]]  # dependent -> dependency
+
+
 @dataclass
 class Corpus:
-    """Immutable index of parsed recipes keyed by (name, version)."""
+    """Immutable index of parsed recipes keyed by (name, version).
+
+    A corpus from an indexed load (see :func:`load_corpus`) also carries
+    either the resolved dependency edges the index vouches for (``edges``),
+    or the index that ``depgraph.build_graph`` records the edges it resolves
+    in (``index``).
+    """
 
     root: Path
     recipes: dict[tuple[str, str], Recipe] = field(default_factory=dict)
     dirs: dict[tuple[str, str], str] = field(default_factory=dict)
+    edges: frozenset[Edge] | None = None
+    index: CorpusIndex | None = field(default=None, repr=False, compare=False)
 
     def __contains__(self, key) -> bool:
         return key in self.recipes
@@ -278,6 +291,7 @@ def scan_corpus(root: Path, index: CorpusIndex | None = None):
             if recipe is not None:
                 yield rel_dir, recipe, None
                 continue
+            index._begin()  # before the fresh stat
         try:
             text, signature = _read_manifest(manifest_path)
             recipe = parse_manifest(text)
@@ -390,10 +404,17 @@ class CorpusIndex:
     ``stat`` that would vouch for a kept listing costs, and no workload has
     directories big enough to pay for a second way to walk the corpus.
 
-    The file's mtime is its write time: that of its temporary file when it
-    was created, before anything it records afresh was stat-ed. A signature
-    whose mtime or ctime is not older than that may hide an edit made in the
-    same clock tick ("racy"), so it is left out and read again next time.
+    It also keeps the resolved dependency edges of the recipes it records,
+    written only after a ``depgraph.build_graph`` on exactly those recipes
+    succeeded. A walk that re-read no recipe and found every recipe the index
+    holds has that recipe set, so its graph has those edges
+    (:meth:`resolved_edges`). Any other record is written without edges.
+
+    The file's mtime is its write time: that of the first temporary file this
+    object made, created before anything it records afresh was stat-ed. A
+    signature whose mtime or ctime is not older than that may hide an edit
+    made in the same clock tick ("racy"), so it is left out and read again
+    next time, and a record that leaves one out holds no edges.
 
     The file's first line is the sha256 of the JSON payload that follows it.
     A missing, unreadable, corrupt or foreign index (another format or corpus
@@ -403,91 +424,128 @@ class CorpusIndex:
     def __init__(self, path: Path, root: Path):
         self.path = Path(path)
         self.root = os.path.abspath(root)
-        self._known_recipes = self._read()
+        self._known_recipes, self._known_edges = self._read()
         self.recipes: dict[str, tuple[list, Recipe]] = {}  # what this walk saw
-        self._tmp: tuple[int, str, int] | None = None  # fd, name, mtime_ns
+        self._fresh = False  # whether this walk read a recipe afresh
+        self._tmp: tuple[int, str] | None = None  # fd and name, made by _begin
+        self._written: int | None = None  # the write time of every file written
         self._writable = True
 
-    def _read(self) -> dict[str, tuple[list, Recipe]]:
+    def _read(self) -> tuple[dict[str, tuple[list, Recipe]], frozenset[Edge] | None]:
         try:
             with open(self.path, "rb") as f:
                 digest, _, payload = f.read().partition(b"\n")
             if hashlib.sha256(payload).hexdigest().encode() != digest:
-                return {}
+                return {}, None
             doc = json.loads(payload)
             if doc["format"] != INDEX_FORMAT or doc["root"] != self.root:
-                return {}
+                return {}, None
             parts = _shared_parts(doc["shared"])
-            return {
+            recipes = {
                 rel: (signatures, _recipe_from_fields(fields, parts))
                 for rel, (signatures, fields) in doc["recipes"].items()
             }
+            if doc["edges"] is None:
+                return recipes, None
+            keys = [recipe.key for _, recipe in recipes.values()]
+            return recipes, frozenset((keys[src], keys[dep]) for src, dep in doc["edges"])
         except (OSError, ValueError, LookupError, TypeError, RadeError):
-            return {}
+            return {}, None
 
-    def _begin(self) -> None:
-        """Create the new index's temporary file before any fresh ``stat``."""
-        if self._tmp is not None or not self._writable:
-            return
+    def _temporary(self) -> tuple[int, str] | None:
+        """A new temporary file next to the index; the first fixes the write time."""
+        if not self._writable:
+            return None
         try:
             fd, name = tempfile.mkstemp(
                 prefix=f".{self.path.name}.", suffix=".tmp", dir=self.path.parent
             )
         except OSError:
             self._writable = False
-            return
-        self._tmp = (fd, name, os.fstat(fd).st_mtime_ns)
+            return None
+        if self._written is None:
+            self._written = os.fstat(fd).st_mtime_ns
+        return fd, name
+
+    def _begin(self) -> None:
+        """Fix the write time, before a fresh ``stat``."""
+        if self._written is None:
+            self._tmp = self._temporary()
 
     def unchanged(self, rel_dir: str, manifest_path: str) -> Recipe | None:
         """The recorded recipe of ``rel_dir`` if none of its files changed."""
         known = self._known_recipes.get(rel_dir)
-        if known is not None:
-            signatures, recipe = known
-            current = []
-            for path in (manifest_path, *_script_paths(recipe, manifest_path)):
-                try:
-                    current += _signature(os.stat(path))
-                except OSError:  # gone: read afresh, which reports why
-                    break
-            if current == signatures:
-                self.recipes[rel_dir] = known
-                return recipe
-        self._begin()
-        return None
+        if known is None:
+            return None
+        signatures, recipe = known
+        current = []
+        for path in (manifest_path, *_script_paths(recipe, manifest_path)):
+            try:
+                current += _signature(os.stat(path))
+            except OSError:  # gone: read afresh, which reports why
+                return None
+        if current != signatures:
+            return None
+        self.recipes[rel_dir] = known
+        return recipe
 
     def record(self, rel_dir: str, signatures: list, recipe: Recipe) -> None:
         self.recipes[rel_dir] = (signatures, recipe)
+        self._fresh = True
+
+    def resolved_edges(self) -> frozenset[Edge] | None:
+        """The recorded edges, if this walk read no recipe afresh and found
+        every one the index holds."""
+        if self._fresh or len(self.recipes) != len(self._known_recipes):
+            return None
+        return self._known_edges
 
     def save(self) -> None:
-        """Replace the index file with this walk's record if it read anything
-        afresh. A failure to write leaves no file behind and is ignored."""
-        if self._tmp is None:
+        """Write this walk's record if it differs from the file's: a recipe
+        was read afresh, or one the file holds is gone."""
+        if self._fresh or len(self.recipes) < len(self._known_recipes):
+            self.write()
+
+    def write(self, edges: frozenset[Edge] | None = None) -> None:
+        """Replace the index file with this walk's record and, if given,
+        ``edges``: the resolved dependency edges of its recipes. A failure to
+        write leaves no file behind and is ignored."""
+        tmp, self._tmp = self._tmp or self._temporary(), None
+        if tmp is None:
             return
-        fd, name, written = self._tmp
-        self._tmp = None
+        fd, name = tmp
         try:
             with open(fd, "wb") as f:
-                f.write(self._serialize(written))
-            os.utime(name, ns=(written, written))
+                f.write(self._serialize(edges))
+            os.utime(name, ns=(self._written, self._written))
             os.replace(name, self.path)
         except OSError:
             pass  # the index only saves work; the load's result stands
         finally:
             _remove(name)  # already gone once replaced
 
-    def _serialize(self, written: int) -> bytes:
+    def _serialize(self, edges: frozenset[Edge] | None) -> bytes:
         def settled(signatures):  # one or more, one after the other
-            return max(signatures[0::4] + signatures[1::4]) < written
+            return max(signatures[0::4] + signatures[1::4]) < self._written
 
+        kept = {
+            rel: (signatures, recipe)
+            for rel, (signatures, recipe) in self.recipes.items()
+            if settled(signatures)
+        }
+        position = {recipe.key: i for i, (_, recipe) in enumerate(kept.values())}
         shared: dict[tuple, int] = {}
         doc = {
             "format": INDEX_FORMAT,
             "root": self.root,
             "recipes": {
                 rel: [signatures, _recipe_fields(recipe, shared)]
-                for rel, (signatures, recipe) in self.recipes.items()
-                if settled(signatures)
+                for rel, (signatures, recipe) in kept.items()
             },
+            # edges of a record that left a recipe out would never be trusted
+            "edges": None if edges is None or len(kept) < len(self.recipes) else [
+                [position[src], position[dep]] for src, dep in sorted(edges)
+            ],
         }
         doc["shared"] = list(shared)
         payload = json.dumps(doc, separators=(",", ":")).encode()
@@ -496,7 +554,7 @@ class CorpusIndex:
     def discard(self) -> None:
         """Drop the temporary file of an index that will not be saved."""
         if self._tmp is not None:
-            fd, name, _ = self._tmp
+            fd, name = self._tmp
             self._tmp = None
             os.close(fd)
             _remove(name)
@@ -537,7 +595,10 @@ def load_corpus(root: Path, index_path: Path | None = None) -> Corpus:
 
     With ``index_path``, the walk is checked against the :class:`CorpusIndex`
     kept there, and the index is rewritten when the load succeeded and had to
-    re-read anything. The result is that of a load without it.
+    re-read anything or lost a recipe. The recipes and directories are those
+    of a load without it. The corpus carries the resolved edges the index
+    vouches for, or else the index, for ``depgraph.build_graph`` to record
+    the edges it resolves.
     """
     if index_path is None:
         return index_corpus(root, scan_corpus(root))
@@ -547,7 +608,30 @@ def load_corpus(root: Path, index_path: Path | None = None) -> Corpus:
         index.save()
     finally:
         index.discard()
+    corpus.edges = index.resolved_edges()
+    if corpus.edges is None:
+        corpus.index = index
     return corpus
+
+
+def find_recipe(
+    root: Path, index_path: Path, key: tuple[str, str]
+) -> tuple[Recipe, Path] | None:
+    """The recipe ``key`` and its directory as the index at ``index_path``
+    recorded them, if none of its four files changed since; else None.
+
+    No other recipe is looked at, so unlike :func:`load_corpus` this sees
+    neither a broken or duplicate manifest elsewhere nor a directory above
+    the recipe that became a symlink.
+    """
+    index = CorpusIndex(index_path, root)
+    for rel_dir, (_, recipe) in index._known_recipes.items():
+        if recipe.key == key:
+            manifest_path = os.path.join(index.root, rel_dir, MANIFEST_NAME)
+            if index.unchanged(rel_dir, manifest_path) is None:
+                return None
+            return recipe, Path(root) / rel_dir
+    return None
 
 
 def changed_recipes(event: CommitEvent, corpus: Corpus) -> set[tuple[str, str]]:

@@ -328,7 +328,8 @@ class Repository:
 
         Waits up to ``wait_s`` for a competing writer before raising
         TransactionInProgress. The lock is an flock on the ``lock`` file, so a
-        writer that died holds none, whatever the file says.
+        writer that died holds none, whatever the file says. A root
+        ``.revision`` that disagrees with HEAD is rewritten.
         """
         fd = os.open(self.lock_path, os.O_CREAT | os.O_WRONLY, 0o644)
         deadline = time.monotonic() + wait_s
@@ -343,7 +344,15 @@ class Repository:
                             f"repository {self.path} already in transaction"
                         ) from None
                     time.sleep(0.05)
-            base = self.catalog_lines(self.read_head().root_catalog.sha256)
+            head = self.read_head()
+            base = self.catalog_lines(head.root_catalog.sha256)
+            rev_data = _revision_bytes(head.revision)
+            try:
+                current = (self.path / REVISION_FILE).read_bytes()
+            except OSError:
+                current = None
+            if current != rev_data:  # a publish failed to write it after HEAD
+                self._write_revision(rev_data)
         except BaseException:
             os.close(fd)
             raise
@@ -401,7 +410,8 @@ class Repository:
         line. A catalog in which a file would be the parent of another path
         is a PathCollision, raised before anything is written. The HEAD
         rename is the commit point: a failure before it leaves the previous
-        head fully intact and the transaction open.
+        head fully intact and the transaction open. The root ``.revision``
+        is written after it (see :meth:`_write_revision`).
         """
         if tx.state != "open":
             raise TransactionInProgress(f"transaction {tx.id} is {tx.state}")
@@ -423,7 +433,6 @@ class Repository:
                 if staged.mode != DIRECTORY:
                     self._store_object(staged)
             self._write_blob(self.catalogs_dir, catalog_sha, data)
-            write_atomic(self.path / REVISION_FILE, rev_data)
             write_atomic(
                 self.head_path,
                 f"{catalog_sha} {revision} {job_id}\n".encode("utf-8"),
@@ -431,8 +440,18 @@ class Repository:
         except OSError as exc:
             raise StoreWriteFailure(str(exc)) from exc
 
+        self._write_revision(rev_data)
         tx.close("published")
         return RepoHead(ObjectRef(catalog_sha, len(data)), revision, job_id)
+
+    def _write_revision(self, rev_data: bytes) -> None:
+        """Bring the root ``.revision`` to HEAD's revision, once HEAD holds
+        it: the file never leads HEAD. A failure leaves it behind HEAD, which
+        the next transaction mends; the publish has committed all the same."""
+        try:
+            write_atomic(self.path / REVISION_FILE, rev_data)
+        except OSError:
+            pass
 
     def _store_object(self, staged: _StagedFile) -> None:
         final = self.object_path(staged.sha256)

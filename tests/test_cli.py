@@ -117,6 +117,21 @@ class TestRun:
         assert run_cli("run", "--config", ws.config_path, "--event", ws.spool_dir) == 0
         assert capsys.readouterr().out == "event spool is empty\n"
 
+    def test_duplicate_event_id_is_set_aside(self, ws, capsys):
+        write_event(ws.spool_dir / "a.json", "evt-a", ["hello/1.0/build.sh"])
+        write_event(ws.spool_dir / "a2.json", "evt-a", ["libdemo/1.0/build.sh"])
+        write_event(ws.spool_dir / "b.json", "evt-b", ["libdemo/1.0/build.sh"])
+        assert run_cli("run", "--config", ws.config_path, "--event", ws.spool_dir) == 1
+        out, err = capsys.readouterr()
+        assert err == f"error: {ws.spool_dir / 'a2.json'}: duplicate event_id 'evt-a' in spool\n"
+        assert out.count("published revision") == 2
+        assert Repository.open(ws.repo_path).read_head().job_id == "evt-b"
+        assert sorted(p.name for p in ws.spool_dir.iterdir()) == [
+            "a.json.done",
+            "a2.json.rejected",
+            "b.json.done",
+        ]
+
     def test_second_identical_run_adds_no_objects(self, ws, capsys):
         e1 = write_event(ws.spool_dir / "e1.json", "evt-1", ["hello/1.0/build.sh"])
         run_cli("run", "--config", ws.config_path, "--event", e1)
@@ -560,13 +575,65 @@ class TestCorpusIndex:
         event = write_event(ws.spool_dir / "e2.json", "evt-2", ["hello/1.0/build.sh"])
         assert run_cli("run", "--config", ws.config_path, "--event", event) == 0
         assert run_cli("sync", "--repo", ws.repo_path, "--cache", ws.root / "c") == 0
+        walks = []
+        find = recipes._find_manifests
+        monkeypatch.setattr(recipes, "_find_manifests", lambda root: walks.append(root) or find(root))
         mve = ("hello/1.0", "--target", "x86_64-linux-sitea", "--cache", ws.root / "c")
         assert run_cli("mve", "--config", ws.config_path, *mve) == 0
+        assert walks == []  # mve looked its recipe up in the index alone
         event = write_event(ws.spool_dir / "e3.json", "evt-3", ["hello/1.0/build.sh"])
         assert run_cli("resolve", "--config", ws.config_path, "--event", event) == 0
         assert parsed == []
         assert run_cli("validate", "--config", ws.config_path) == 0
         assert len(parsed) == 3  # validate always parses everything
+
+    MVE = ("hello/1.0", "--target", "x86_64-linux-sitea")
+
+    def indexed(self, ws, monkeypatch):
+        """Run and sync once with an index that vouches for every recipe;
+        returns the list every later corpus walk is appended to."""
+        for i in (0, 1):  # the first run makes the workdir, the second the index
+            tick(ws.root)
+            event = write_event(ws.spool_dir / f"e{i}.json", f"evt-{i}", ["hello/1.0/build.sh"])
+            assert run_cli("run", "--config", ws.config_path, "--event", event) == 0
+        assert run_cli("sync", "--repo", ws.repo_path, "--cache", ws.root / "c") == 0
+        walks = []
+        find = recipes._find_manifests
+        monkeypatch.setattr(recipes, "_find_manifests", lambda root: walks.append(root) or find(root))
+        return walks
+
+    def mve(self, ws):
+        return run_cli("mve", "--config", ws.config_path, *self.MVE, "--cache", ws.root / "c")
+
+    def test_mve_after_an_edit_loads_the_corpus(self, ws, capsys, monkeypatch):
+        walks = self.indexed(ws, monkeypatch)
+        capsys.readouterr()
+        assert self.mve(ws) == 0
+        before = capsys.readouterr()
+        assert walks == []
+        manifest = ws.corpus_root / "hello" / "1.0" / recipes.MANIFEST_NAME
+        manifest.write_text(manifest.read_text())  # a new signature, the same recipe
+        assert self.mve(ws) == 0
+        assert capsys.readouterr() == before
+        assert walks == [ws.corpus_root]
+
+    def test_mve_of_a_removed_recipe_is_unknown(self, ws, capsys, monkeypatch):
+        walks = self.indexed(ws, monkeypatch)
+        shutil.rmtree(ws.corpus_root / "hello")
+        capsys.readouterr()
+        assert self.mve(ws) == 2
+        assert capsys.readouterr().err == "config error: unknown recipe hello/1.0\n"
+        assert walks == [ws.corpus_root]
+
+    def test_mve_ignores_a_broken_unrelated_manifest(self, ws, capsys, monkeypatch):
+        self.indexed(ws, monkeypatch)
+        (ws.corpus_root / "libdemo" / "1.0" / recipes.MANIFEST_NAME).write_text("{broken")
+        capsys.readouterr()
+        assert self.mve(ws) == 0
+        assert "MVE pass: hello/1.0" in capsys.readouterr().out
+        event = write_event(ws.spool_dir / "e2.json", "evt-2", ["hello/1.0/build.sh"])
+        assert run_cli("run", "--config", ws.config_path, "--event", event) == 1
+        assert capsys.readouterr().err.startswith("error: libdemo/1.0/rade.json: ")
 
     def test_workdir_that_cannot_hold_the_index(self, ws, capsys):
         (ws.workdir / recipes.INDEX_NAME / "inner").mkdir(parents=True)

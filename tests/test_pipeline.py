@@ -373,6 +373,24 @@ class TestRunPlan:
         assert app.reason == "dependency libdemo/1.0 not delivered"
         assert report.publication is None
 
+    def test_each_tree_environment_is_worked_out_once_per_job(self, small_ws, monkeypatch):
+        calls = []
+        module_path = pipeline.envtree.module_path_for_dependencies
+
+        def counting(graph, recipe, tree, target):
+            calls.append((recipe.name, tree.kind))
+            return module_path(graph, recipe, tree, target)
+
+        monkeypatch.setattr(pipeline.envtree, "module_path_for_dependencies", counting)
+        config, corpus, graph, runner = make_runner(small_ws)
+        report = runner.run_plan(plan(EVENT_LIBDEMO, corpus, graph, config.matrix), 1)
+        assert report.ok
+        assert sorted(calls) == [
+            ("app", "deploy"), ("app", "integration"),
+            ("libdemo", "deploy"), ("libdemo", "integration"),
+        ]
+        assert [job.envs for job in report.outcomes] == [{}, {}]
+
     def test_logs_hold_only_this_runs_output(self, small_ws):
         config, corpus, graph, runner = make_runner(small_ws)
         build_plan = plan(EVENT_LIBDEMO, corpus, graph, config.matrix)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rade import recipes
+from rade.depgraph import build_graph
 from rade.errors import (
     DuplicateRecipe,
     InvariantViolation,
@@ -385,6 +386,12 @@ def retagged(data: bytes) -> bytes:
     return hashlib.sha256(payload).hexdigest().encode() + b"\n" + payload
 
 
+def indexed_keys(index: Path) -> list[tuple[str, str]]:
+    """The (name, version) of every recipe the index file holds."""
+    doc = json.loads(index.read_bytes().partition(b"\n")[2])
+    return sorted((fields[0], fields[1]) for _, fields in doc["recipes"].values())
+
+
 @pytest.fixture
 def parses(monkeypatch):
     """The name of every recipe parsed from here on."""
@@ -482,6 +489,16 @@ class TestCorpusIndex:
         assert sorted(corpus.recipes) == [("beta", "1.0"), ("delta", "1.0"), ("gamma", "1.0")]
         assert outcome(lambda: load_corpus(root, index)) == outcome(lambda: load_corpus(root))
 
+    def test_removed_recipe_leaves_the_index(self, tmp_path, parses):
+        root, index = tmp_path / "corpus", tmp_path / INDEX_NAME
+        build_default_corpus(root, tmp_path / "src")
+        self.settled_load(root, index)
+        shutil.rmtree(root / "hello")
+        parses.clear()
+        assert sorted(load_corpus(root, index).recipes) == [("app", "1.0"), ("libdemo", "1.0")]
+        assert parses == []
+        assert indexed_keys(index) == [("app", "1.0"), ("libdemo", "1.0")]
+
     def test_dangling_manifest_symlink_whose_target_appears(self, layout):
         root, index = layout
         ghost = root / "ghost" / "1.0"
@@ -571,8 +588,30 @@ class TestCorpusIndex:
 
 
 INDEX_MUTATIONS = (
-    "edit", "add", "remove", "nest", "drop_script", "empty_script", "duplicate", "break"
+    "edit", "add", "remove", "nest", "drop_script", "empty_script", "duplicate", "break",
+    "depend", "cycle",
 )
+
+
+def manifest_doc(recipe_dir: Path) -> dict | None:
+    try:
+        doc = json.loads((recipe_dir / MANIFEST_NAME).read_text())
+    except ValueError:
+        return None
+    return doc if isinstance(doc, dict) else None
+
+
+def depend(recipe_dir: Path, on: Path) -> None:
+    """Make the recipe in ``recipe_dir`` depend on the one in ``on`` alone;
+    a manifest that is not a JSON object is left as it is."""
+    doc = manifest_doc(recipe_dir)
+    if doc is None:
+        return
+    name = (manifest_doc(on) or {}).get("name")
+    doc["dependencies"] = [
+        {"name": name if isinstance(name, str) else "absent", "constraint": ">=1.0"}
+    ]
+    (recipe_dir / MANIFEST_NAME).write_text(json.dumps(doc))
 
 
 def mutate(root: Path, op: str, pick: int, serial: int) -> None:
@@ -600,6 +639,11 @@ def mutate(root: Path, op: str, pick: int, serial: int) -> None:
     elif op == "duplicate":
         twin = write_manifest_dir(root / f"dup{serial}", "placeholder")
         shutil.copy(target / MANIFEST_NAME, twin / MANIFEST_NAME)
+    elif op in ("depend", "cycle"):  # on the next recipe, and it on this one
+        after = dirs[(pick + 1) % len(dirs)]
+        depend(target, after)
+        if op == "cycle":
+            depend(after, target)
     else:
         (target / MANIFEST_NAME).write_text("{broken")
 
@@ -614,25 +658,40 @@ def mutate(root: Path, op: str, pick: int, serial: int) -> None:
 )
 def test_indexed_load_equals_full_scan(steps):
     """After every mutation, loads through the index agree with a full scan:
-    the same recipes and directories in the same order, or the same error."""
+    the same recipes and directories in the same order, or the same error.
+    The graph of an indexed load equals a fresh ``build_graph``'s: the same
+    nodes and edges, or the same error."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "corpus"
         work = Path(tmp) / "work"
         work.mkdir()
         index = work / INDEX_NAME
 
-        def check():
+        def graph_of(load):
+            try:
+                graph = build_graph(load())
+            except RadeError as exc:
+                return type(exc), str(exc)
+            return graph.nodes, graph.edges
+
+        def check(settled):
             expected = outcome(lambda: load_corpus(root))
-            for _ in range(2):  # the second load trusts what the first recorded
+            expected_graph = graph_of(lambda: load_corpus(root))
+            for _ in range(2):  # the second round trusts what the first recorded
+                assert graph_of(lambda: load_corpus(root, index)) == expected_graph
                 assert outcome(lambda: load_corpus(root, index)) == expected
+            if settled and isinstance(expected_graph[1], frozenset):  # no error
+                assert load_corpus(root, index).edges == expected_graph[1]
             assert [p.name for p in work.iterdir()] in ([], [INDEX_NAME])
 
         for i in range(4):
             write_manifest_dir(root / f"r{i}" / "1.0", f"r{i}")
+            if i:
+                depend(root / f"r{i}" / "1.0", root / f"r{i - 1}" / "1.0")
         tick(Path(tmp))
-        check()
+        check(True)
         for serial, (op, pick, settle) in enumerate(steps):
             mutate(root, op, pick, serial)
             if settle:  # else what changed is too new for the index to vouch for
                 tick(Path(tmp))
-            check()
+            check(settle)

@@ -398,10 +398,15 @@ def temporaries(repo):
     return [p for p in found if p.name.endswith(".tmp")]
 
 
+def root_revision(repo) -> int:
+    return int((repo.path / ".revision").read_text())
+
+
 def test_fault_at_every_replace_of_a_publish(tmp_path, monkeypatch):
     """Fail publish's k-th os.replace for every k: the head stays old or new,
-    the repository verifies, nothing is left behind, and the same
-    transaction can publish."""
+    the repository verifies, nothing is left behind, the root .revision never
+    leads HEAD, and the same transaction can publish. A fault after the HEAD
+    rename fails nothing, and the next transaction mends .revision."""
     make_tree(tmp_path / "v1", {"a": "a1", "b": "b1"})
     make_tree(tmp_path / "v2", {"a": "a2", "b": "b1", "c": "c2"})
     k = 0
@@ -423,17 +428,22 @@ def test_fault_at_every_replace_of_a_publish(tmp_path, monkeypatch):
         if len(calls) < k:
             assert head is not None
             break  # publish made fewer than k calls: every call has been failed once
-        assert head is None, f"call {k} failed but publish went on"
         seen = repo.read_head()
+        assert root_revision(repo) <= seen.revision
         assert repo.verify().ok, repo.verify().problems()
         assert temporaries(repo) == []
-        assert tx.state == "open"
-        head = repo.publish(tx, "job-2")  # a retry under the same lock
-        assert seen in (before, head)
+        if head is None:
+            assert tx.state == "open"
+            head = repo.publish(tx, "job-2")  # a retry under the same lock
+            assert seen in (before, head)
+        else:  # the fault came after the commit point
+            assert k == len(calls) and seen == head
+            repo.abort(repo.begin_transaction())
         assert head.revision == before.revision + 1
+        assert root_revision(repo) == head.revision
         assert repo.verify().ok
         assert temporaries(repo) == []
-    # the objects of a2 and c2, the catalog, .revision and HEAD
+    # the objects of a2 and c2, the catalog, HEAD and .revision
     assert k == 6
 
 
