@@ -69,13 +69,14 @@ class BuildPlan:
 def build_graph(corpus: Corpus) -> DependencyGraph:
     """Resolve every dependency against the corpus and verify acyclicity.
 
-    The edges an indexed load vouched for (``corpus.edges``) are those of a
-    ``build_graph`` that succeeded on this very recipe set, so they are taken
-    as they are. Otherwise the edges resolved here are recorded in
-    ``corpus.index``, if there is one; an error never is.
+    The edges the index of an indexed load vouches for (``corpus.index``)
+    are those of a ``build_graph`` that succeeded on this very recipe set, so
+    they are taken as they are. Otherwise the edges resolved here are
+    recorded in that index, if there is one; an error never is.
     """
-    if corpus.edges is not None:
-        return DependencyGraph(nodes=frozenset(corpus.recipes), edges=corpus.edges)
+    index = corpus.index
+    if index is not None and index.edges is not None:
+        return DependencyGraph(nodes=frozenset(corpus.recipes), edges=index.edges)
     versions: dict[str, list[str]] = defaultdict(list)
     for name, version in corpus.recipes:
         versions[name].append(version)
@@ -113,8 +114,8 @@ def build_graph(corpus: Corpus) -> DependencyGraph:
     cycle = _find_cycle(graph)
     if cycle:
         raise DependencyCycle(cycle)
-    if corpus.index is not None:
-        corpus.index.write(graph.edges)
+    if index is not None:
+        index.write(graph.edges)
     return graph
 
 

@@ -103,9 +103,6 @@ class Job:
     finished: float | None = None
     transitions: list[tuple[str, float]] = field(default_factory=list)
     payload: list[tuple[Path, str]] = field(default_factory=list)
-    # phase environments by tree kind while the job runs: build and test
-    # share the integration one
-    envs: dict[str, dict[str, str]] = field(default_factory=dict, repr=False)
 
     @property
     def key(self) -> tuple[str, str, str]:
@@ -200,6 +197,9 @@ class JobRunner:
         self.workdir = Path(workdir)
         self.ops_tests = tuple(ops_tests)
         self.phase_timeout_s = phase_timeout_s
+        # the environment of each job whose build phase passed, until its
+        # test phase takes it
+        self._built_envs: dict[tuple[str, str, str], dict[str, str]] = {}
 
     # -- naming ----------------------------------------------------------
 
@@ -219,11 +219,11 @@ class JobRunner:
     # -- environment -------------------------------------------------------
 
     def _phase_env(self, job: Job, tree: EnvTree) -> dict[str, str]:
-        """The child environment of a phase that installs into ``tree``,
-        worked out once per job and tree: the dependencies it reads were
-        delivered before the job started."""
-        if tree.kind in job.envs:
-            return job.envs[tree.kind]
+        """The child environment of a phase that installs into ``tree``. The
+        test phase takes the one its build phase ran with: the dependencies
+        it reads were delivered before the job started."""
+        if job.state == TESTING and job.key in self._built_envs:
+            return self._built_envs.pop(job.key)
         prefix_var = "DEPLOY_PREFIX" if tree.kind == envtree.DEPLOY else "INSTALL_PREFIX"
         dep_modules = envtree.module_path_for_dependencies(
             self.graph, self._recipe(job), tree, job.target
@@ -247,7 +247,6 @@ class JobRunner:
         )
         # load_config rejects site bindings of RESERVED_ENV_NAMES
         env.update(self.matrix.extra_env(job.target.site))
-        job.envs[tree.kind] = env
         return env
 
     # -- source fetching ---------------------------------------------------
@@ -358,6 +357,7 @@ class JobRunner:
             )
             if rc != 0:
                 raise BuildFailed(f"build script exited {rc}")
+            self._built_envs[job.key] = env
 
     def run_test(self, job: Job) -> None:
         """Internal tests, ops tests, integration install, researcher tests."""
@@ -421,7 +421,6 @@ class JobRunner:
             job.reason = f"internal error: {exc!r}"
             self._log_line(job, job.reason)
         job.finished = time.time()
-        job.envs.clear()  # only the phases need them, not the report
 
     # -- scheduling --------------------------------------------------------
 

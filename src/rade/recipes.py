@@ -202,16 +202,14 @@ Edge = tuple[tuple[str, str], tuple[str, str]]  # dependent -> dependency
 class Corpus:
     """Immutable index of parsed recipes keyed by (name, version).
 
-    A corpus from an indexed load (see :func:`load_corpus`) also carries
-    either the resolved dependency edges the index vouches for (``edges``),
-    or the index that ``depgraph.build_graph`` records the edges it resolves
-    in (``index``).
+    A corpus from an indexed load (see :func:`load_corpus`) also carries its
+    :class:`CorpusIndex`, which ``depgraph.build_graph`` takes the resolved
+    dependency edges from, or records them in.
     """
 
     root: Path
     recipes: dict[tuple[str, str], Recipe] = field(default_factory=dict)
     dirs: dict[tuple[str, str], str] = field(default_factory=dict)
-    edges: frozenset[Edge] | None = None
     index: CorpusIndex | None = field(default=None, repr=False, compare=False)
 
     def __contains__(self, key) -> bool:
@@ -407,8 +405,9 @@ class CorpusIndex:
     It also keeps the resolved dependency edges of the recipes it records,
     written only after a ``depgraph.build_graph`` on exactly those recipes
     succeeded. A walk that re-read no recipe and found every recipe the index
-    holds has that recipe set, so its graph has those edges
-    (:meth:`resolved_edges`). Any other record is written without edges.
+    holds has that recipe set, so its graph has those edges (:attr:`edges`
+    once :meth:`save` ended the walk). Any other record is written without
+    edges.
 
     The file's mtime is its write time: that of the first temporary file this
     object made, created before anything it records afresh was stat-ed. A
@@ -424,7 +423,7 @@ class CorpusIndex:
     def __init__(self, path: Path, root: Path):
         self.path = Path(path)
         self.root = os.path.abspath(root)
-        self._known_recipes, self._known_edges = self._read()
+        self._known_recipes, self.edges = self._read()
         self.recipes: dict[str, tuple[list, Recipe]] = {}  # what this walk saw
         self._fresh = False  # whether this walk read a recipe afresh
         self._tmp: tuple[int, str] | None = None  # fd and name, made by _begin
@@ -493,17 +492,15 @@ class CorpusIndex:
         self.recipes[rel_dir] = (signatures, recipe)
         self._fresh = True
 
-    def resolved_edges(self) -> frozenset[Edge] | None:
-        """The recorded edges, if this walk read no recipe afresh and found
-        every one the index holds."""
-        if self._fresh or len(self.recipes) != len(self._known_recipes):
-            return None
-        return self._known_edges
-
     def save(self) -> None:
-        """Write this walk's record if it differs from the file's: a recipe
-        was read afresh, or one the file holds is gone."""
-        if self._fresh or len(self.recipes) < len(self._known_recipes):
+        """End the walk. Write its record if it differs from the file's: a
+        recipe was read afresh, or one the file holds is gone. Then the
+        file's edges are not those of this walk's recipes, so :attr:`edges`
+        becomes None."""
+        lost = len(self.recipes) < len(self._known_recipes)
+        self._known_recipes = {}  # the walk's own record is in self.recipes
+        if self._fresh or lost:
+            self.edges = None
             self.write()
 
     def write(self, edges: frozenset[Edge] | None = None) -> None:
@@ -596,9 +593,8 @@ def load_corpus(root: Path, index_path: Path | None = None) -> Corpus:
     With ``index_path``, the walk is checked against the :class:`CorpusIndex`
     kept there, and the index is rewritten when the load succeeded and had to
     re-read anything or lost a recipe. The recipes and directories are those
-    of a load without it. The corpus carries the resolved edges the index
-    vouches for, or else the index, for ``depgraph.build_graph`` to record
-    the edges it resolves.
+    of a load without it. The corpus carries the index, whose ``edges``
+    ``depgraph.build_graph`` takes, or records the edges it resolves in.
     """
     if index_path is None:
         return index_corpus(root, scan_corpus(root))
@@ -608,9 +604,7 @@ def load_corpus(root: Path, index_path: Path | None = None) -> Corpus:
         index.save()
     finally:
         index.discard()
-    corpus.edges = index.resolved_edges()
-    if corpus.edges is None:
-        corpus.index = index
+    corpus.index = index
     return corpus
 
 

@@ -5,7 +5,7 @@ import shutil
 
 import pytest
 
-from rade import recipes
+from rade import depgraph, recipes
 from rade.cli import main
 from rade.repo import Repository
 from toycorpus import catalog_entries, make_workspace, tick, write_event, write_recipe
@@ -572,6 +572,9 @@ class TestCorpusIndex:
         parsed = []
         parse = recipes.parse_manifest
         monkeypatch.setattr(recipes, "parse_manifest", lambda text: parsed.append(text) or parse(text))
+        checked = []  # graphs whose acyclicity was checked, i.e. not taken from the index
+        find_cycle = depgraph._find_cycle
+        monkeypatch.setattr(depgraph, "_find_cycle", lambda g: checked.append(g) or find_cycle(g))
         event = write_event(ws.spool_dir / "e2.json", "evt-2", ["hello/1.0/build.sh"])
         assert run_cli("run", "--config", ws.config_path, "--event", event) == 0
         assert run_cli("sync", "--repo", ws.repo_path, "--cache", ws.root / "c") == 0
@@ -584,8 +587,10 @@ class TestCorpusIndex:
         event = write_event(ws.spool_dir / "e3.json", "evt-3", ["hello/1.0/build.sh"])
         assert run_cli("resolve", "--config", ws.config_path, "--event", event) == 0
         assert parsed == []
+        assert checked == []
         assert run_cli("validate", "--config", ws.config_path) == 0
         assert len(parsed) == 3  # validate always parses everything
+        assert len(checked) == 1
 
     MVE = ("hello/1.0", "--target", "x86_64-linux-sitea")
 

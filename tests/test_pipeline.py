@@ -373,6 +373,15 @@ class TestRunPlan:
         assert app.reason == "dependency libdemo/1.0 not delivered"
         assert report.publication is None
 
+    def test_only_the_test_phase_takes_the_build_environment(self, small_ws):
+        config, corpus, graph, runner = make_runner(small_ws)
+        job = first_job(runner, plan(EVENT_HELLO, corpus, graph, config.matrix))
+        runner.run_build(job)
+        assert "DEPLOY_PREFIX" in runner._phase_env(job, runner.deploy)
+        assert list(runner._built_envs) == [job.key]
+        runner.run_test(job)
+        assert runner._built_envs == {}
+
     def test_each_tree_environment_is_worked_out_once_per_job(self, small_ws, monkeypatch):
         calls = []
         module_path = pipeline.envtree.module_path_for_dependencies
@@ -389,7 +398,7 @@ class TestRunPlan:
             ("app", "deploy"), ("app", "integration"),
             ("libdemo", "deploy"), ("libdemo", "integration"),
         ]
-        assert [job.envs for job in report.outcomes] == [{}, {}]
+        assert runner._built_envs == {}  # each test phase took its build's
 
     def test_logs_hold_only_this_runs_output(self, small_ws):
         config, corpus, graph, runner = make_runner(small_ws)

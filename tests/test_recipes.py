@@ -667,21 +667,27 @@ def test_indexed_load_equals_full_scan(steps):
         work.mkdir()
         index = work / INDEX_NAME
 
-        def graph_of(load):
+        def outcomes(index_path):
+            """A load's outcome, then its graph's: nodes and edges, or the
+            error; None if the load failed."""
             try:
-                graph = build_graph(load())
+                corpus = load_corpus(root, index_path)
             except RadeError as exc:
-                return type(exc), str(exc)
-            return graph.nodes, graph.edges
+                return (type(exc), str(exc)), None
+            loaded = list(corpus.recipes.items()), list(corpus.dirs.items())
+            try:
+                graph = build_graph(corpus)
+            except RadeError as exc:
+                return loaded, (type(exc), str(exc))
+            return loaded, (graph.nodes, graph.edges)
 
         def check(settled):
-            expected = outcome(lambda: load_corpus(root))
-            expected_graph = graph_of(lambda: load_corpus(root))
+            expected = outcomes(None)
             for _ in range(2):  # the second round trusts what the first recorded
-                assert graph_of(lambda: load_corpus(root, index)) == expected_graph
-                assert outcome(lambda: load_corpus(root, index)) == expected
-            if settled and isinstance(expected_graph[1], frozenset):  # no error
-                assert load_corpus(root, index).edges == expected_graph[1]
+                assert outcomes(index) == expected
+            graph = expected[1]
+            if settled and graph is not None and isinstance(graph[1], frozenset):
+                assert load_corpus(root, index).index.edges == graph[1]
             assert [p.name for p in work.iterdir()] in ([], [INDEX_NAME])
 
         for i in range(4):
