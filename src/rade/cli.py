@@ -124,6 +124,14 @@ def cmd_run(args) -> int:
         paths = [event_path]
     status = EXIT_OK
     seen_ids = set()
+    # An event whose id is HEAD's job was published by a run that stopped
+    # before marking it done; revision 0 published no event. One read serves
+    # the loop: an event published here puts its id in seen_ids, so a later
+    # event with that id is a duplicate.
+    try:
+        head = repo_mod.Repository.open(config.repo_path).read_head()
+    except RadeError:  # no repository, or a HEAD that cannot be read
+        head = None
     for path in paths:
         try:
             event = recipes.load_event(path)
@@ -137,7 +145,11 @@ def cmd_run(args) -> int:
             status = max(status, EXIT_JOB_FAILURE)
             continue
         seen_ids.add(event.event_id)
-        rc = _run_one_event(config, runner, corpus, graph, event)
+        if head is not None and head.revision and event.event_id == head.job_id:
+            print(f"event {event.event_id} already published as revision {head.revision}")
+            rc = EXIT_OK
+        else:
+            rc = _run_one_event(config, runner, corpus, graph, event)
         recipes.mark_event_done(path)
         status = max(status, rc)
     return status

@@ -72,7 +72,8 @@ def build_graph(corpus: Corpus) -> DependencyGraph:
     The edges the index of an indexed load vouches for (``corpus.index``)
     are those of a ``build_graph`` that succeeded on this very recipe set, so
     they are taken as they are. Otherwise the edges resolved here are
-    recorded in that index, if there is one; an error never is.
+    recorded in that index, if there is one: this is the index file's only
+    write. An error is never recorded.
     """
     index = corpus.index
     if index is not None and index.edges is not None:

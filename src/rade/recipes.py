@@ -5,8 +5,9 @@ three phase scripts (and any researcher tests) stored alongside the manifest.
 A :class:`CorpusIndex` lets a load skip reading and parsing the recipes
 whose files have not changed since the last load, lets ``rade mve`` look up
 one recipe without a load (:func:`find_recipe`), and keeps the resolved
-dependency edges of the recipes it records. Commit events arrive as JSON
-documents naming changed corpus-relative paths.
+dependency edges of the recipes it records. A load only reads the index;
+``depgraph.build_graph`` writes it. Commit events arrive as JSON documents
+naming changed corpus-relative paths.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ from .errors import (
     RadeError,
     SchemaViolation,
 )
+from .repo import write_atomic
 from .targets import TargetPattern
 from .versions import VersionConstraint
 
@@ -200,11 +202,12 @@ Edge = tuple[tuple[str, str], tuple[str, str]]  # dependent -> dependency
 
 @dataclass
 class Corpus:
-    """Immutable index of parsed recipes keyed by (name, version).
+    """Parsed recipes and their corpus-relative directories, keyed by
+    (name, version).
 
     A corpus from an indexed load (see :func:`load_corpus`) also carries its
-    :class:`CorpusIndex`, which ``depgraph.build_graph`` takes the resolved
-    dependency edges from, or records them in.
+    :class:`CorpusIndex`, set after the walk, which ``depgraph.build_graph``
+    takes the resolved dependency edges from, or records them in.
     """
 
     root: Path
@@ -289,7 +292,6 @@ def scan_corpus(root: Path, index: CorpusIndex | None = None):
             if recipe is not None:
                 yield rel_dir, recipe, None
                 continue
-            index._begin()  # before the fresh stat
         try:
             text, signature = _read_manifest(manifest_path)
             recipe = parse_manifest(text)
@@ -302,9 +304,8 @@ def scan_corpus(root: Path, index: CorpusIndex | None = None):
             yield rel_dir, recipe, None
 
 
-def _script_paths(recipe: Recipe, manifest_path: str) -> list[str]:
+def _script_paths(scripts: ScriptSet, manifest_path: str) -> list[str]:
     recipe_dir = manifest_path[: -len(MANIFEST_NAME)]
-    scripts = recipe.scripts
     # os.path.join(recipe_dir, rel), as recipe_dir ends in a separator
     return [
         rel if rel.startswith("/") else recipe_dir + rel
@@ -320,7 +321,8 @@ def _check_recipe_files(
     Returns the three scripts' signatures, one after the other.
     """
     signatures = []
-    for label, path in zip(("build", "check", "deploy"), _script_paths(recipe, manifest_path)):
+    paths = _script_paths(recipe.scripts, manifest_path)
+    for label, path in zip(("build", "check", "deploy"), paths):
         try:
             st = os.stat(path)
             usable = stat.S_ISREG(st.st_mode) and st.st_size > 0
@@ -402,18 +404,22 @@ class CorpusIndex:
     ``stat`` that would vouch for a kept listing costs, and no workload has
     directories big enough to pay for a second way to walk the corpus.
 
-    It also keeps the resolved dependency edges of the recipes it records,
-    written only after a ``depgraph.build_graph`` on exactly those recipes
-    succeeded. A walk that re-read no recipe and found every recipe the index
-    holds has that recipe set, so its graph has those edges (:attr:`edges`
-    once :meth:`save` ended the walk). Any other record is written without
-    edges.
+    It also keeps the resolved dependency edges of the recipes it records.
+    ``depgraph.build_graph`` is the file's only writer (:meth:`write`), and
+    writes only after a graph build on exactly those recipes succeeded. A
+    walk that re-read no recipe and found every recipe the index holds has
+    that recipe set, so its graph has those edges (:attr:`edges` once
+    :meth:`end_walk` ran).
 
-    The file's mtime is its write time: that of the first temporary file this
-    object made, created before anything it records afresh was stat-ed. A
-    signature whose mtime or ctime is not older than that may hide an edit
-    made in the same clock tick ("racy"), so it is left out and read again
-    next time, and a record that leaves one out holds no edges.
+    An entry is decoded into a :class:`Recipe` only when it is vouched for,
+    so a lookup of one recipe decodes one.
+
+    A load reads the file system's clock when it starts (:func:`_clock`),
+    before it stats anything afresh. A signature whose mtime or ctime is not
+    older than that reading may hide an edit made in the same clock tick
+    ("racy"), so it is left out of the file and read again next time, and a
+    record that leaves one out holds no edges. Without a reading, nothing is
+    written.
 
     The file's first line is the sha256 of the JSON payload that follows it.
     A missing, unreadable, corrupt or foreign index (another format or corpus
@@ -423,105 +429,74 @@ class CorpusIndex:
     def __init__(self, path: Path, root: Path):
         self.path = Path(path)
         self.root = os.path.abspath(root)
-        self._known_recipes, self.edges = self._read()
+        # each entry as the file holds it: [signatures, fields]
+        self._known, self._parts, self.edges = self._read()
         self.recipes: dict[str, tuple[list, Recipe]] = {}  # what this walk saw
         self._fresh = False  # whether this walk read a recipe afresh
-        self._tmp: tuple[int, str] | None = None  # fd and name, made by _begin
-        self._written: int | None = None  # the write time of every file written
-        self._writable = True
+        self._written: int | None = None  # the clock reading of the racy rule
 
-    def _read(self) -> tuple[dict[str, tuple[list, Recipe]], frozenset[Edge] | None]:
+    def _read(self) -> tuple[dict[str, list], list, frozenset[Edge] | None]:
         try:
             with open(self.path, "rb") as f:
                 digest, _, payload = f.read().partition(b"\n")
             if hashlib.sha256(payload).hexdigest().encode() != digest:
-                return {}, None
+                return {}, [], None
             doc = json.loads(payload)
             if doc["format"] != INDEX_FORMAT or doc["root"] != self.root:
-                return {}, None
+                return {}, [], None
             parts = _shared_parts(doc["shared"])
-            recipes = {
-                rel: (signatures, _recipe_from_fields(fields, parts))
-                for rel, (signatures, fields) in doc["recipes"].items()
-            }
+            entries = doc["recipes"]
             if doc["edges"] is None:
-                return recipes, None
-            keys = [recipe.key for _, recipe in recipes.values()]
-            return recipes, frozenset((keys[src], keys[dep]) for src, dep in doc["edges"])
-        except (OSError, ValueError, LookupError, TypeError, RadeError):
-            return {}, None
-
-    def _temporary(self) -> tuple[int, str] | None:
-        """A new temporary file next to the index; the first fixes the write time."""
-        if not self._writable:
-            return None
-        try:
-            fd, name = tempfile.mkstemp(
-                prefix=f".{self.path.name}.", suffix=".tmp", dir=self.path.parent
+                return entries, parts, None
+            keys = [(fields[0], fields[1]) for _, fields in entries.values()]
+            return entries, parts, frozenset(
+                (keys[src], keys[dep]) for src, dep in doc["edges"]
             )
-        except OSError:
-            self._writable = False
-            return None
-        if self._written is None:
-            self._written = os.fstat(fd).st_mtime_ns
-        return fd, name
-
-    def _begin(self) -> None:
-        """Fix the write time, before a fresh ``stat``."""
-        if self._written is None:
-            self._tmp = self._temporary()
+        except (OSError, ValueError, LookupError, TypeError, RadeError):
+            return {}, [], None
 
     def unchanged(self, rel_dir: str, manifest_path: str) -> Recipe | None:
         """The recorded recipe of ``rel_dir`` if none of its files changed."""
-        known = self._known_recipes.get(rel_dir)
+        known = self._known.get(rel_dir)
         if known is None:
             return None
-        signatures, recipe = known
+        signatures, fields = known
         current = []
-        for path in (manifest_path, *_script_paths(recipe, manifest_path)):
+        for path in (manifest_path, *_script_paths(self._parts[fields[4]], manifest_path)):
             try:
                 current += _signature(os.stat(path))
             except OSError:  # gone: read afresh, which reports why
                 return None
         if current != signatures:
             return None
-        self.recipes[rel_dir] = known
+        recipe = _recipe_from_fields(fields, self._parts)
+        self.recipes[rel_dir] = (signatures, recipe)
         return recipe
 
     def record(self, rel_dir: str, signatures: list, recipe: Recipe) -> None:
         self.recipes[rel_dir] = (signatures, recipe)
         self._fresh = True
 
-    def save(self) -> None:
-        """End the walk. Write its record if it differs from the file's: a
-        recipe was read afresh, or one the file holds is gone. Then the
-        file's edges are not those of this walk's recipes, so :attr:`edges`
-        becomes None."""
-        lost = len(self.recipes) < len(self._known_recipes)
-        self._known_recipes = {}  # the walk's own record is in self.recipes
-        if self._fresh or lost:
+    def end_walk(self) -> None:
+        """End the walk. If a recipe was read afresh, or one the file holds
+        is gone, the file's edges are not those of this walk's recipes, so
+        :attr:`edges` becomes None."""
+        if self._fresh or len(self.recipes) < len(self._known):
             self.edges = None
-            self.write()
+        self._known = {}  # the walk's own record is in self.recipes
 
-    def write(self, edges: frozenset[Edge] | None = None) -> None:
-        """Replace the index file with this walk's record and, if given,
-        ``edges``: the resolved dependency edges of its recipes. A failure to
-        write leaves no file behind and is ignored."""
-        tmp, self._tmp = self._tmp or self._temporary(), None
-        if tmp is None:
+    def write(self, edges: frozenset[Edge]) -> None:
+        """Replace the index file with this walk's record and ``edges``: the
+        resolved dependency edges of its recipes. Without a clock reading,
+        nothing is written, and a failure to write is ignored."""
+        if self._written is None:
             return
-        fd, name = tmp
         try:
-            with open(fd, "wb") as f:
-                f.write(self._serialize(edges))
-            os.utime(name, ns=(self._written, self._written))
-            os.replace(name, self.path)
+            write_atomic(self.path, self._serialize(edges))
         except OSError:
             pass  # the index only saves work; the load's result stands
-        finally:
-            _remove(name)  # already gone once replaced
 
-    def _serialize(self, edges: frozenset[Edge] | None) -> bytes:
+    def _serialize(self, edges: frozenset[Edge]) -> bytes:
         def settled(signatures):  # one or more, one after the other
             return max(signatures[0::4] + signatures[1::4]) < self._written
 
@@ -540,7 +515,7 @@ class CorpusIndex:
                 for rel, (signatures, recipe) in kept.items()
             },
             # edges of a record that left a recipe out would never be trusted
-            "edges": None if edges is None or len(kept) < len(self.recipes) else [
+            "edges": None if len(kept) < len(self.recipes) else [
                 [position[src], position[dep]] for src, dep in sorted(edges)
             ],
         }
@@ -548,20 +523,15 @@ class CorpusIndex:
         payload = json.dumps(doc, separators=(",", ":")).encode()
         return hashlib.sha256(payload).hexdigest().encode() + b"\n" + payload
 
-    def discard(self) -> None:
-        """Drop the temporary file of an index that will not be saved."""
-        if self._tmp is not None:
-            fd, name = self._tmp
-            self._tmp = None
-            os.close(fd)
-            _remove(name)
 
-
-def _remove(path: str) -> None:
+def _clock(directory: Path) -> int | None:
+    """The file system's time now: the mtime of a throwaway file made and
+    removed in ``directory``. None if no file can be made there."""
     try:
-        os.unlink(path)
+        with tempfile.TemporaryFile(dir=directory) as f:
+            return os.fstat(f.fileno()).st_mtime_ns
     except OSError:
-        pass
+        return None
 
 
 def index_corpus(root: Path, scanned) -> Corpus:
@@ -591,19 +561,17 @@ def load_corpus(root: Path, index_path: Path | None = None) -> Corpus:
     """Load and index every recipe below ``root`` (see :func:`index_corpus`).
 
     With ``index_path``, the walk is checked against the :class:`CorpusIndex`
-    kept there, and the index is rewritten when the load succeeded and had to
-    re-read anything or lost a recipe. The recipes and directories are those
-    of a load without it. The corpus carries the index, whose ``edges``
-    ``depgraph.build_graph`` takes, or records the edges it resolves in.
+    kept there. The recipes and directories are those of a load without it.
+    The load writes nothing: the corpus carries the index, whose ``edges``
+    ``depgraph.build_graph`` takes, or which it rewrites with the edges it
+    resolves.
     """
     if index_path is None:
         return index_corpus(root, scan_corpus(root))
     index = CorpusIndex(index_path, root)
-    try:
-        corpus = index_corpus(root, scan_corpus(root, index))
-        index.save()
-    finally:
-        index.discard()
+    index._written = _clock(index.path.parent)  # before any fresh stat
+    corpus = index_corpus(root, scan_corpus(root, index))
+    index.end_walk()
     corpus.index = index
     return corpus
 
@@ -619,12 +587,11 @@ def find_recipe(
     the recipe that became a symlink.
     """
     index = CorpusIndex(index_path, root)
-    for rel_dir, (_, recipe) in index._known_recipes.items():
-        if recipe.key == key:
+    for rel_dir, (_, fields) in index._known.items():
+        if fields[0:2] == list(key):
             manifest_path = os.path.join(index.root, rel_dir, MANIFEST_NAME)
-            if index.unchanged(rel_dir, manifest_path) is None:
-                return None
-            return recipe, Path(root) / rel_dir
+            recipe = index.unchanged(rel_dir, manifest_path)
+            return None if recipe is None else (recipe, Path(root) / rel_dir)
     return None
 
 

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rade import depgraph, recipes
 from rade.cli import main
@@ -131,6 +136,27 @@ class TestRun:
             "a2.json.rejected",
             "b.json.done",
         ]
+
+    def test_already_published_event_is_marked_done(self, ws, capsys):
+        """A run that stopped between publishing an event and marking it done
+        left the event pending: the next run marks it done and runs nothing."""
+        write_event(ws.spool_dir / "e1.json", "evt-1", ["hello/1.0/build.sh"])
+        assert run_cli("run", "--config", ws.config_path, "--event", ws.spool_dir) == 0
+        head = Repository.open(ws.repo_path).read_head()
+        report = (ws.workdir / "last-run.txt").read_text()
+        (ws.spool_dir / "e1.json.done").rename(ws.spool_dir / "e1.json")
+        capsys.readouterr()
+        assert run_cli("run", "--config", ws.config_path, "--event", ws.spool_dir) == 0
+        assert capsys.readouterr().out == "event evt-1 already published as revision 1\n"
+        assert Repository.open(ws.repo_path).read_head() == head
+        assert (ws.workdir / "last-run.txt").read_text() == report
+        assert sorted(p.name for p in ws.spool_dir.iterdir()) == ["e1.json.done"]
+
+    def test_event_named_like_the_initial_head_runs(self, ws, capsys):
+        Repository.init(ws.repo_path)  # revision 0, whose job is "init"
+        event = write_event(ws.spool_dir / "e.json", "init", ["hello/1.0/build.sh"])
+        assert run_cli("run", "--config", ws.config_path, "--event", event) == 0
+        assert Repository.open(ws.repo_path).read_head().revision == 1
 
     def test_second_identical_run_adds_no_objects(self, ws, capsys):
         e1 = write_event(ws.spool_dir / "e1.json", "evt-1", ["hello/1.0/build.sh"])
@@ -610,6 +636,52 @@ class TestCorpusIndex:
     def mve(self, ws):
         return run_cli("mve", "--config", ws.config_path, *self.MVE, "--cache", ws.root / "c")
 
+    def test_mve_lookup_decodes_one_recipe(self, ws, capsys, monkeypatch):
+        self.indexed(ws, monkeypatch)
+        decoded = []
+        decode = recipes._recipe_from_fields
+        monkeypatch.setattr(
+            recipes, "_recipe_from_fields",
+            lambda fields, parts: decoded.append(fields[0]) or decode(fields, parts),
+        )
+        assert self.mve(ws) == 0
+        assert decoded == ["hello"]
+
+    def test_the_graph_build_is_the_one_writer(self, ws, capsys, monkeypatch):
+        """The index is replaced once by a run that re-read a recipe, and
+        never by a load alone: not by a settled command, nor by mve's
+        fallback load, which builds no graph."""
+        walks = self.indexed(ws, monkeypatch)
+        index = ws.workdir / recipes.INDEX_NAME
+        writes = []
+        replace = os.replace
+
+        def counting_replace(src, dst, **kwargs):
+            writes.append(Path(dst) == index)
+            return replace(src, dst, **kwargs)
+
+        monkeypatch.setattr(os, "replace", counting_replace)
+
+        def index_writes(*argv):
+            writes.clear()
+            assert run_cli(*argv) == 0
+            return writes.count(True)
+
+        config = ("--config", ws.config_path)
+        mve = (*config, *self.MVE, "--cache", ws.root / "c")
+        assert index_writes("mve", *mve) == 0
+        assert walks == []  # vouched for by the index
+        event = write_event(ws.spool_dir / "e2.json", "evt-2", ["hello/1.0/build.sh"])
+        assert index_writes("resolve", *config, "--event", event) == 0
+        assert index_writes("run", *config, "--event", event) == 0
+        build = ws.corpus_root / "hello" / "1.0" / "build.sh"
+        build.write_text(build.read_text())  # a new signature, the same recipe
+        walks.clear()
+        assert index_writes("mve", *mve) == 0
+        assert walks == [ws.corpus_root]  # the fallback load
+        event = write_event(ws.spool_dir / "e3.json", "evt-3", ["hello/1.0/build.sh"])
+        assert index_writes("run", *config, "--event", event) == 1
+
     def test_mve_after_an_edit_loads_the_corpus(self, ws, capsys, monkeypatch):
         walks = self.indexed(ws, monkeypatch)
         capsys.readouterr()
@@ -651,3 +723,48 @@ class TestCorpusIndex:
         assert run_cli("mve", "--config", ws.config_path, *mve) == 0
         assert (ws.workdir / recipes.INDEX_NAME).is_dir()
         assert not [p for p in ws.workdir.iterdir() if p.name.endswith(".tmp")]
+
+
+# Paths inside a recipe, between recipes (a recipe's parent directory, an
+# absent version) and outside every recipe.
+INSIDE = ("hello/1.0/build.sh", "libdemo/1.0/rade.json", "app/1.0", "hello/1.0/../../app/1.0")
+BETWEEN = ("hello", "libdemo/2.0/build.sh", "app/1.0x")
+OUTSIDE = ("", ".", "..", "/", "/etc/passwd", "../corpus/hello/1.0", "nowhere/1.0/build.sh")
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(
+                st.from_regex(r"[A-Za-z0-9][A-Za-z0-9._+-]{0,8}", fullmatch=True),
+                st.sampled_from(["evt-1", "init", "evt 1", "\u00e9vt-1", "evt-1\n"]),
+                st.text(max_size=8),
+            ),
+            st.lists(
+                st.one_of(
+                    st.sampled_from(INSIDE),
+                    st.sampled_from(BETWEEN + OUTSIDE),
+                    st.text(max_size=8),
+                ),
+                max_size=3,
+            ),
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_run_any_event_spool(events):
+    """``rade run`` over any spool of event documents exits 0, 1 or 2 without
+    raising, and leaves a repository whose HEAD reads and that ``status`` and
+    ``verify`` accept."""
+    with tempfile.TemporaryDirectory() as tmp:
+        ws = make_workspace(Path(tmp))
+        Repository.init(ws.repo_path)
+        for i, (event_id, paths) in enumerate(events):
+            write_event(ws.spool_dir / f"e{i}.json", event_id, paths)
+        assert run_cli("run", "--config", ws.config_path, "--event", ws.spool_dir) in (0, 1, 2)
+        assert run_cli("status", "--config", ws.config_path) == 0
+        assert run_cli("verify", "--config", ws.config_path) == 0
+        Repository.open(ws.repo_path).read_head()
+        assert not recipes.pending_events(ws.spool_dir)

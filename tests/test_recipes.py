@@ -21,6 +21,7 @@ from rade.errors import (
     MalformedManifest,
     RadeError,
     SchemaViolation,
+    UnknownDependency,
 )
 from rade.recipes import (
     INDEX_NAME,
@@ -421,9 +422,10 @@ class TestCorpusIndex:
 
     def settled_load(self, root, index):
         """Write the index when every file of the corpus is older than it,
-        so that it vouches for all of them."""
+        so that it vouches for all of them: a load, then the graph build
+        that writes the index."""
         tick(root.parent)
-        load_corpus(root, index)
+        build_graph(load_corpus(root, index))
 
     def test_unchanged_corpus_parses_nothing(self, layout, parses):
         root, index = layout
@@ -433,7 +435,8 @@ class TestCorpusIndex:
         before = index.stat()
         assert outcome(lambda: load_corpus(root, index)) == expected
         assert parses == []
-        after = index.stat()  # and it is not rewritten
+        build_graph(load_corpus(root, index))
+        after = index.stat()  # and neither the load nor the graph build rewrites it
         assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
     def test_same_size_edit_with_new_mtime_is_seen(self, layout, parses):
@@ -481,6 +484,7 @@ class TestCorpusIndex:
         assert parses == ["delta"]
         assert corpus.dirs[("delta", "1.0")] == "beta/1.0/sub/deep"
         tick(root.parent)  # delta may have been too new to record
+        build_graph(load_corpus(root, index))
         assert outcome(lambda: load_corpus(root, index)) == outcome(lambda: load_corpus(root))
         shutil.rmtree(root / "alpha")
         parses.clear()
@@ -495,8 +499,10 @@ class TestCorpusIndex:
         self.settled_load(root, index)
         shutil.rmtree(root / "hello")
         parses.clear()
-        assert sorted(load_corpus(root, index).recipes) == [("app", "1.0"), ("libdemo", "1.0")]
+        corpus = load_corpus(root, index)
+        assert sorted(corpus.recipes) == [("app", "1.0"), ("libdemo", "1.0")]
         assert parses == []
+        build_graph(corpus)
         assert indexed_keys(index) == [("app", "1.0"), ("libdemo", "1.0")]
 
     def test_dangling_manifest_symlink_whose_target_appears(self, layout):
@@ -536,6 +542,7 @@ class TestCorpusIndex:
         parses.clear()
         assert outcome(lambda: load_corpus(root, index)) == expected
         assert parses == ["alpha", "beta", "gamma"]
+        build_graph(load_corpus(root, index))
         parses.clear()  # and the index is whole again
         assert outcome(lambda: load_corpus(root, index)) == expected
         assert parses == []
@@ -574,6 +581,7 @@ class TestCorpusIndex:
             (index / "inner").mkdir(parents=True)
         for _ in range(2):
             assert outcome(lambda: load_corpus(root, index)) == outcome(lambda: load_corpus(root))
+            build_graph(load_corpus(root, index))  # tries to write the index
         if blocker == "missing":
             assert not (tmp_path / "work").exists()
         elif blocker == "directory":
@@ -584,6 +592,16 @@ class TestCorpusIndex:
         (root / "beta" / "1.0" / MANIFEST_NAME).write_text("{broken")
         with pytest.raises(MalformedManifest):
             load_corpus(root, index)
+        assert list(index.parent.iterdir()) == []
+
+    def test_failed_graph_writes_no_index(self, layout):
+        root, index = layout
+        (root / "alpha" / "1.0" / MANIFEST_NAME).write_text(minimal_manifest(
+            name="alpha", dependencies=[{"name": "absent", "constraint": ">=1.0"}]
+        ))
+        corpus = load_corpus(root, index)
+        with pytest.raises(UnknownDependency):
+            build_graph(corpus)
         assert list(index.parent.iterdir()) == []
 
 
