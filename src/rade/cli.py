@@ -1,8 +1,8 @@
 """Command-line entry point tying the pipeline together.
 
 Exit codes: 0 success (publication happened or the plan was empty), 1 at
-least one job failed (for ``verify``: the repository has a problem), 2
-configuration or usage error.
+least one job failed (for ``verify``: the repository or site cache has a
+problem), 2 configuration or usage error.
 """
 from __future__ import annotations
 
@@ -215,11 +215,16 @@ def cmd_status(args) -> int:
 
 def cmd_verify(args) -> int:
     config = load_config(args.config)
-    report = repo_mod.Repository.open(config.repo_path).verify()
+    if args.cache is None:
+        report = repo_mod.Repository.open(config.repo_path).verify()
+        checked = f"{report.checked} objects"
+    else:
+        report = siteclient.SiteCache(config.repo_path, Path(args.cache)).verify()
+        checked = f"{report.checked} objects and {report.paths} tree paths"
     problems = report.problems()
     for line in problems:
         print(line)
-    print(f"checked {report.checked} objects, problems: {len(problems)}")
+    print(f"checked {checked}, problems: {len(problems)}")
     return EXIT_JOB_FAILURE if problems else EXIT_OK
 
 
@@ -333,6 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
         "verify",
         parents=[common],
         help="re-hash every stored object and check the head's closure",
+    )
+    p.add_argument(
+        "--cache",
+        default=None,
+        help="verify this site cache's objects and live tree instead",
     )
     p.set_defaults(func=cmd_verify)
 

@@ -133,6 +133,38 @@ class PublicationRequest:
     stages: tuple[tuple[Path, str], ...]
 
 
+def escaping_paths(paths, root: Path):
+    """Yield each of ``paths`` that ``path.resolve()`` would place outside
+    ``root.resolve()``. A path below ``root`` is followed from ``root`` one
+    component at a time, each component looked at once per call with an
+    ``lstat`` and resolved only if it is a symlink; any other path is
+    resolved whole."""
+    real_root = str(root.resolve())
+    inside = os.path.join(real_root, "")
+    top = os.path.join(str(root), "")
+    real = {top[:-1]: real_root}  # root or a path below it -> its resolved path
+
+    def real_path(path: str) -> str:
+        if path not in real:
+            parent, name = path.rsplit("/", 1)
+            # lstat sees the component the kernel reaches through the real
+            # parent, so a component that is no symlink is the parent's child
+            real[path] = (
+                str(Path(path).resolve()) if os.path.islink(path)
+                else os.path.join(real_path(parent), name)
+            )
+        return real[path]
+
+    for path in paths:
+        text = str(path)
+        if text.startswith(top) and ".." not in text[len(top):].split("/"):
+            resolved = real_path(text)
+        else:
+            resolved = str(path.resolve())
+        if resolved != real_root and not resolved.startswith(inside):
+            yield path
+
+
 @dataclass
 class RunReport:
     outcomes: list[Job]  # in plan order
@@ -480,12 +512,11 @@ class JobRunner:
         report = RunReport(outcomes=list(jobs.values()))
         if build_plan.jobs and report.ok:
             stages = [stage for job in jobs.values() for stage in job.payload]
-            deploy_root = self.deploy.root.resolve()
-            for fs_path, _ in stages:
-                if not fs_path.resolve().is_relative_to(deploy_root):
-                    raise InvariantViolation(
-                        f"publication payload {fs_path} escapes the deploy tree"
-                    )
+            escaped = next(escaping_paths((p for p, _ in stages), self.deploy.root), None)
+            if escaped is not None:
+                raise InvariantViolation(
+                    f"publication payload {escaped} escapes the deploy tree"
+                )
             report.publication = PublicationRequest(
                 job_id=build_plan.event_id, stages=tuple(stages)
             )

@@ -66,27 +66,52 @@ def hash_file(path: Path) -> tuple[str, int]:
     return digest.hexdigest(), size
 
 
+def hash_store(store: Path, report: VerifyReport) -> dict[tuple[int, int], str]:
+    """Hash every blob of a content-addressed store, ``.tmp`` names skipped.
+    Each blob counts in ``report.checked``, and each whose digest is not its
+    name goes in ``report.bad_objects``. Returns each digest by its blob's
+    (device, inode), so a caller can tell a hard link to a blob it has
+    already hashed."""
+    digests = {}
+    for blob in sorted(store.glob("??/*")):
+        if blob.name.endswith(".tmp"):
+            continue
+        expected = blob.parent.name + blob.name
+        report.checked += 1
+        st = blob.stat()
+        digest = digests[st.st_dev, st.st_ino] = hash_file(blob)[0]
+        if digest != expected:
+            report.bad_objects.append(expected)
+    return digests
+
+
 def _temporary(dest: Path) -> Path:
     """A unique name next to ``dest``, so concurrent writers of one path and
     readers of the directory never meet a half-written ``dest``."""
     return dest.parent / f".{dest.name}.{uuid.uuid4().hex[:8]}.tmp"
 
 
-def write_atomic(path: Path, data: bytes) -> None:
+def write_atomic(path: Path, data: bytes, mode: int | None = None) -> None:
     """Replace ``path`` with ``data``: a reader sees the old bytes or the new,
-    and a failure leaves no temporary behind."""
+    and a failure leaves no temporary behind. A ``mode`` is set before the
+    file appears, so it is never visible with any other."""
     tmp = _temporary(path)
     try:
         tmp.write_bytes(data)
+        if mode is not None:
+            os.chmod(tmp, mode)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)  # already gone once replaced
 
 
-def copy_verified(source: Path, dest: Path, sha256: str) -> int | None:
+def copy_verified(
+    source: Path, dest: Path, sha256: str, mode: int | None = None
+) -> int | None:
     """Copy ``source`` to ``dest`` in CHUNK_SIZE pieces if the bytes copied
     hash to ``sha256``, and return their size. Otherwise return None and leave
-    ``dest`` as it was. Like :func:`write_atomic`, it leaves no temporary."""
+    ``dest`` as it was. Like :func:`write_atomic`, it leaves no temporary and
+    sets a ``mode`` before ``dest`` appears."""
     tmp = _temporary(dest)
     digest = hashlib.sha256()
     size = 0
@@ -98,6 +123,8 @@ def copy_verified(source: Path, dest: Path, sha256: str) -> int | None:
                 size += len(chunk)
         if digest.hexdigest() != sha256:
             return None
+        if mode is not None:
+            os.chmod(tmp, mode)
         os.replace(tmp, dest)
         return size
     finally:
@@ -469,13 +496,7 @@ class Repository:
         names exists."""
         report = VerifyReport()
         for store in (self.objects_dir, self.catalogs_dir):
-            for blob in sorted(store.glob("??/*")):
-                if blob.name.endswith(".tmp"):
-                    continue
-                expected = blob.parent.name + blob.name
-                report.checked += 1
-                if hash_file(blob)[0] != expected:
-                    report.bad_objects.append(expected)
+            hash_store(store, report)
         try:
             head = self.read_head()
             for line in self.catalog_lines(head.root_catalog.sha256):
@@ -505,6 +526,7 @@ class Repository:
 @dataclass
 class VerifyReport:
     checked: int = 0
+    paths: int = 0  # tree paths checked, by a site cache's verify
     bad_objects: list[str] = field(default_factory=list)
     missing_objects: list[str] = field(default_factory=list)
     errors: list[str] = field(default_factory=list)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import stat
 import subprocess
 import time
 from dataclasses import dataclass
@@ -32,9 +33,12 @@ from .repo import (
     ObjectRef,
     RepoHead,
     Repository,
+    VerifyReport,
     _revision_bytes,
     copy_verified,
     entry_line,
+    hash_file,
+    hash_store,
     parse_line,
     sha256_hex,
     write_atomic,
@@ -50,8 +54,10 @@ GENERATIONS = (".tree.a", ".tree.b")
 @dataclass
 class SyncReport:
     """What one sync transferred and what it did to the spare tree: files
-    copied from ``objects/``, hard-linked from the live tree or from an earlier
-    copy of the same object, and removed."""
+    hard-linked (a plain file to its object in ``objects/``, an executable to
+    the live tree's file or to this sync's first copy of it), files copied
+    from ``objects/`` (an executable with no inode to share, or a file whose
+    link failed), and paths removed."""
 
     revision: int
     fetched_objects: int
@@ -84,9 +90,13 @@ class SiteCache:
     tree is being changed). ``tree`` is a relative symlink to the live
     generation and ``head`` the last synced HEAD line. A sync rewrites the
     spare generation, so a reader must not hold a tree path across two syncs.
-    Tree files are read-only: unchanged ones are shared by both generations,
-    and the paths of one generation with the same object and mode share one
-    copy of it.
+    Objects and tree files are read-only. A plain file is a hard link to its
+    object, so each delivered byte is written once. An executable needs an
+    inode of mode 0555: unchanged ones are shared by both generations, and
+    the executables of one generation with the same object share one copy.
+    A write through a tree file, which only a reader that first makes it
+    writable can make, therefore reaches ``objects/`` and every path naming
+    that object; :meth:`verify` finds it.
     """
 
     def __init__(self, repo_path: Path, cache_root: Path):
@@ -97,7 +107,6 @@ class SiteCache:
         self.objects_dir = self.cache_root / "objects"
         self.tree_root = self.cache_root / "tree"
         self.head_path = self.cache_root / "head"
-        self.objects_dir.mkdir(parents=True, exist_ok=True)
 
     @property
     def last_head(self) -> RepoHead | None:
@@ -144,13 +153,14 @@ class SiteCache:
         """
         if head is None:
             head = self.repo.read_head()
+        self.objects_dir.mkdir(parents=True, exist_ok=True)
         wanted = set(self.repo.catalog_lines(head.root_catalog.sha256, IntegrityError))
         live = self._live_generation()
         held = self._held(live) or set()
         # Only an entry the live tree lacks can name an object not yet cached.
         new = {line: parse_line(line) for line in sorted(wanted - held)}
 
-        fetched = 0
+        fetched = set()
         fetched_bytes = 0
         for entry in new.values():
             if entry.mode == DIRECTORY:
@@ -159,11 +169,11 @@ class SiteCache:
             if cached.is_file():
                 continue
             fetched_bytes += self._fetch(entry, head, cached)
-            fetched += 1
+            fetched.add(entry.object.sha256)
 
-        report = SyncReport(head.revision, fetched, fetched_bytes)
+        report = SyncReport(head.revision, len(fetched), fetched_bytes)
         spare = GENERATIONS[1] if live == GENERATIONS[0] else GENERATIONS[0]
-        self._apply(spare, wanted, new, live, held, report)
+        self._apply(spare, wanted, new, live, held, fetched, report)
         write_atomic(self._marker(spare), f"{head.root_catalog.sha256}\n".encode("ascii"))
         link = self.cache_root / ".tree.new"
         link.unlink(missing_ok=True)
@@ -200,8 +210,8 @@ class SiteCache:
         return self.objects_dir / sha[:2] / sha[2:]
 
     def _fetch(self, entry: CatalogEntry, head: RepoHead, cached: Path) -> int:
-        """Copy an entry's object into ``objects/`` if it matches its digest,
-        and return its size."""
+        """Copy an entry's object into ``objects/``, read-only, if it matches
+        its digest, and return its size."""
         sha = entry.object.sha256
         cached.parent.mkdir(parents=True, exist_ok=True)
         # The revision counter is derived from HEAD, not stored in objects/.
@@ -209,12 +219,12 @@ class SiteCache:
             data = _revision_bytes(head.revision)
             if sha256_hex(data) != sha:
                 raise IntegrityError(f"object {sha} fails its digest")
-            write_atomic(cached, data)
+            write_atomic(cached, data, 0o444)
             return len(data)
         blob = self.repo.object_path(sha)
         if not blob.is_file():
             raise IntegrityError(f"object {sha} missing from repository")
-        size = copy_verified(blob, cached, sha)
+        size = copy_verified(blob, cached, sha, 0o444)
         if size is None:
             raise IntegrityError(f"object {sha} fails its digest")
         return size
@@ -226,11 +236,13 @@ class SiteCache:
         new: dict[bytes, CatalogEntry],
         live: str | None,
         held: set[bytes],
+        read_only: set[str],
         report: SyncReport,
     ) -> None:
         """Change the spare tree from the catalog its marker names to the
         lines ``wanted``, of which ``new`` are parsed already. A tree without
-        a marker is emptied first."""
+        a marker is emptied first. ``read_only`` names the objects known to be
+        mode 0444, and gains each object this sync links to."""
         root = self.cache_root / spare
         # Replacements are staged outside the trees, on the same file system.
         tmp = self.cache_root / ".file.tmp"
@@ -263,8 +275,7 @@ class SiteCache:
                 emptied.add(path)
             else:
                 (root / path).unlink(missing_ok=True)
-            parts = path.split("/")
-            emptied.update("/".join(parts[:i]) for i in range(1, len(parts)))
+            emptied.update(_parents(path))
         for path in sorted(emptied, key=lambda p: p.count("/"), reverse=True):
             if entry_line(path, DIRECTORY, "-", 0) in wanted:
                 continue
@@ -281,36 +292,119 @@ class SiteCache:
                 dest.mkdir(parents=True, exist_ok=True)
                 continue
             dest.parent.mkdir(parents=True, exist_ok=True)
-            # A file the spare holds may share its inode with the live tree,
-            # so it is replaced by a rename, never written in place. A
-            # temporary left by a crash may be such a link too, so it is
-            # removed, never opened.
+            # A file the spare holds may share its inode with the live tree
+            # or objects/, so it is replaced by a rename, never written in
+            # place. A temporary left by a crash may be such a link too, so it
+            # is removed, never opened.
             if entry.path in old:
                 target = tmp
                 target.unlink(missing_ok=True)
             else:
                 target = dest
-            # Only files of one mode may share an inode.
-            key = (entry.object.sha256, entry.mode)
-            if line in held and self._link(self.cache_root / live / entry.path, target):
-                report.linked += 1
-            elif key in copies and self._link(copies[key], target):
+            # Only files of one mode may share an inode: a plain file shares
+            # its object's, and an executable one of mode 0555.
+            sha = entry.object.sha256
+            key = (sha, entry.mode)
+            sources = []
+            if entry.mode != EXECUTABLE:
+                sources.append(self._read_only_object(sha, read_only))
+            elif line in held:
+                sources.append(self.cache_root / live / entry.path)
+            if key in copies:
+                sources.append(copies[key])
+            if any(self._link(source, target) for source in sources):
                 report.linked += 1
             else:
-                shutil.copyfile(self._cache_object_path(entry.object.sha256), target)
+                shutil.copyfile(self._cache_object_path(sha), target)
                 os.chmod(target, 0o555 if entry.mode == EXECUTABLE else 0o444)
                 report.copied += 1
                 copies[key] = dest
             if target is not dest:
                 os.replace(target, dest)
 
+    def _read_only_object(self, sha: str, read_only: set[str]) -> Path:
+        """The path of a cached object, made mode 0444 first unless it is
+        known to be: a cache written before objects were fetched read-only
+        holds them at 0644, and a tree file linked to one would be
+        writable."""
+        path = self._cache_object_path(sha)
+        if sha not in read_only:
+            os.chmod(path, 0o444)
+            read_only.add(sha)
+        return path
+
     @staticmethod
     def _link(source: Path, dest: Path) -> bool:
         try:
             os.link(source, dest)
-        except OSError:  # a reader removed the source; use objects/ instead
+        except OSError:  # a reader removed the source, or it has too many links
             return False
         return True
+
+    # -- verifying -----------------------------------------------------------
+
+    def verify(self) -> VerifyReport:
+        """Re-hash every object in ``objects/`` and check the live tree
+        against the catalog its marker names: every path present with its
+        type and mode, no other path, every file's bytes, and ``.revision``
+        at the synced head's revision. A tree file that is a hard link to an
+        object already hashed is not read again."""
+        report = VerifyReport()
+        digests = hash_store(self.objects_dir, report)
+        head = self.last_head
+        if head is None:
+            report.errors.append("cache has never synced")
+            return report
+        live = self._live_generation()
+        held = self._held(live)
+        if held is None:
+            report.errors.append("live tree names no readable catalog")
+            return report
+        root = self.cache_root / live
+        entries = {e.path: e for e in map(parse_line, held)}
+        expected = set(entries)
+        for path in entries:
+            expected.update(_parents(path))
+        report.paths = len(expected)
+        found = set()
+        for dirpath, dirnames, filenames in os.walk(root):
+            rel = os.path.relpath(dirpath, root)
+            found.update(os.path.normpath(os.path.join(rel, n)) for n in dirnames + filenames)
+        report.errors += [f"unexpected tree path {path}" for path in sorted(found - expected)]
+        for path in sorted(expected):
+            entry = entries.get(path)  # None for a directory above an entry
+            try:
+                st = os.lstat(root / path)
+            except OSError:
+                report.errors.append(f"missing tree path {path}")
+                continue
+            if entry is None or entry.mode == DIRECTORY:
+                if not stat.S_ISDIR(st.st_mode):
+                    report.errors.append(f"tree path {path} is not a directory")
+                continue
+            if not stat.S_ISREG(st.st_mode):
+                report.errors.append(f"tree path {path} is not a file")
+                continue
+            mode = 0o555 if entry.mode == EXECUTABLE else 0o444
+            if stat.S_IMODE(st.st_mode) != mode:
+                report.errors.append(
+                    f"tree path {path} has mode {stat.S_IMODE(st.st_mode):o}, not {mode:o}"
+                )
+            digest = digests.get((st.st_dev, st.st_ino)) or hash_file(root / path)[0]
+            if digest != entry.object.sha256:
+                report.errors.append(
+                    f"tree file {path} does not match object {entry.object.sha256}"
+                )
+        # The file's bytes were checked against its entry above.
+        revision = entries.get(REVISION_FILE)
+        if (
+            revision is not None
+            and revision.object.sha256 != sha256_hex(_revision_bytes(head.revision))
+        ):
+            report.errors.append(
+                f"tree {REVISION_FILE} disagrees with head revision {head.revision}"
+            )
+        return report
 
     # -- minimum viable execution ---------------------------------------------
 
@@ -357,6 +451,12 @@ class SiteCache:
             tests_run=tests_run,
             output="".join(chunks),
         )
+
+
+def _parents(path: str):
+    """The directories above a catalog path, as catalog paths."""
+    parts = path.split("/")
+    return ("/".join(parts[:i]) for i in range(1, len(parts)))
 
 
 def _relocate(directives, name: str, rel: str, site_prefix: str):

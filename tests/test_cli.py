@@ -581,6 +581,57 @@ class TestVerify:
         assert run_cli("verify", "--config", ws.config_path) == 1
         assert "no repository" in capsys.readouterr().err
 
+    @pytest.fixture
+    def synced(self, ws, capsys):
+        event = write_event(ws.spool_dir / "e.json", "evt", ["hello/1.0/build.sh"])
+        run_cli("run", "--config", ws.config_path, "--event", event)
+        cache = ws.root / "cache"
+        run_cli("sync", "--repo", ws.repo_path, "--cache", cache)
+        capsys.readouterr()
+        return cache
+
+    def test_clean_site_cache(self, ws, synced, capsys):
+        assert run_cli("verify", "--config", ws.config_path, "--cache", synced) == 0
+        objects = len(list((synced / "objects").glob("??/*")))
+        paths = len(list((synced / "tree").rglob("*")))
+        assert capsys.readouterr().out == (
+            f"checked {objects} objects and {paths} tree paths, problems: 0\n"
+        )
+
+    def test_flipped_site_tree_byte(self, ws, synced, capsys):
+        path = "modulefiles/x86_64/linux/sitea/hello/1.0"
+        repo = Repository.open(ws.repo_path)
+        sha = catalog_entries(repo, repo.read_head())[path].object.sha256
+        victim = synced / "tree" / path
+        victim.chmod(victim.stat().st_mode | 0o200)  # tree files are read-only
+        data = bytearray(victim.read_bytes())
+        data[0] ^= 0x01
+        victim.write_bytes(bytes(data))
+        assert run_cli("verify", "--config", ws.config_path, "--cache", synced) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert f"object {sha} fails its digest" in out
+        assert f"tree file {path} does not match object {sha}" in out
+        assert out[-1].endswith("problems: 3")  # the object, the file and its mode
+
+    def test_missing_site_tree_path(self, ws, synced, capsys):
+        path = "x86_64/linux/sitea/hello/1.0/bin/hello"
+        (synced / "tree" / path).unlink()
+        assert run_cli("verify", "--config", ws.config_path, "--cache", synced) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == f"missing tree path {path}"
+        assert out[-1].endswith("problems: 1")
+
+    def test_site_cache_that_never_synced(self, ws, capsys):
+        write_event(ws.spool_dir / "e.json", "evt", ["hello/1.0/build.sh"])
+        run_cli("run", "--config", ws.config_path, "--event", ws.spool_dir / "e.json")
+        capsys.readouterr()
+        cache = ws.root / "cache"
+        assert run_cli("verify", "--config", ws.config_path, "--cache", cache) == 1
+        assert capsys.readouterr().out == (
+            "cache has never synced\nchecked 0 objects and 0 tree paths, problems: 1\n"
+        )
+        assert not cache.exists()  # verifying writes nothing
+
 
 def test_config_env_var_fallback(ws, monkeypatch, capsys):
     monkeypatch.setenv("RADE_CONFIG", str(ws.config_path))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import collections
+import itertools
 import tempfile
 import threading
 import time
@@ -13,9 +14,9 @@ from hypothesis import strategies as st
 
 from rade import pipeline
 from rade.depgraph import BuildPlan, DependencyGraph, build_order
-from rade.envtree import DEPLOY, EnvTree
+from rade.envtree import DEPLOY, EnvTree, prefix_for
 
-from rade.errors import BuildFailed, DeliverFailed, SourceChecksumMismatch
+from rade.errors import BuildFailed, DeliverFailed, InvariantViolation, SourceChecksumMismatch
 from rade.errors import TestFailed as PhaseTestFailed
 from rade.pipeline import (
     BUILDING,
@@ -28,6 +29,7 @@ from rade.pipeline import (
     TESTED,
     TESTING,
     JobRunner,
+    escaping_paths,
     plan,
 )
 from rade.recipes import CommitEvent
@@ -279,6 +281,25 @@ class TestRunPlan:
             assert not source.resolve().is_relative_to(
                 small_ws.integration_root.resolve()
             )
+
+    def test_prefix_linked_out_of_the_deploy_tree_publishes_nothing(self, small_ws, tmp_path):
+        elsewhere = tmp_path / "elsewhere"
+        deploy = small_ws.corpus_root / "hello" / "1.0" / "deploy.sh"
+        deploy.write_text(f"""\
+#!/bin/sh
+set -eu
+PREFIX="${{DEPLOY_PREFIX:-$INSTALL_PREFIX}}"
+mkdir -p "{elsewhere}/bin"
+cp "$BUILD_DIR/hello" "{elsewhere}/bin/hello"
+rm -rf "$PREFIX"
+ln -s "{elsewhere}" "$PREFIX"
+""")
+        config, corpus, graph, runner = make_runner(small_ws)
+        build_plan = plan(EVENT_HELLO, corpus, graph, config.matrix)
+        with pytest.raises(InvariantViolation, match="escapes the deploy tree"):
+            runner.run_plan(build_plan, config.width)
+        target = Target("x86_64", "linux", "sitea")
+        assert prefix_for(runner.deploy, target, "hello", "1.0").is_symlink()
 
     def test_delivered_modulefile_setenv_matches_prefix(self, small_ws):
         from rade.envtree import DEPLOY, EnvTree, modulefile_path, prefix_for
@@ -730,3 +751,42 @@ def test_skip_reason_names_the_first_failed_dependency_in_key_order(tmp_path):
     assert outcomes["app"].reason == "dependency liba/1.0 not delivered"
     assert outcomes["viewer"].reason == "dependency liba/1.0 not delivered"
     assert report.publication is None
+
+
+# Symlinks at several depths of a deploy tree, pointing inside it, out of it
+# (also to a sibling whose name starts with the tree's), up through it and
+# nowhere. Relative targets are read from the link's directory.
+LINK_SPOTS = ("d1", "a/d2", "a/b/d3", "a/b/c/d4")
+LINK_TARGETS = (
+    "a", "c", "..", "../..", "../outside", "missing", "{root}", "{root}/a/b", "{outside}",
+    "{root}-x",
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    links=st.dictionaries(st.sampled_from(LINK_SPOTS), st.sampled_from(LINK_TARGETS), max_size=3),
+    linked_root=st.booleans(),
+)
+def test_escaping_paths_agrees_with_resolve(links, linked_root):
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        real_root, outside = base / "deploy", base / "outside"
+        (real_root / "a/b/c").mkdir(parents=True)
+        (outside / "b").mkdir(parents=True)
+        (base / "deploy-x" / "b").mkdir(parents=True)
+        root = real_root
+        if linked_root:  # the deploy root itself reached through a symlink
+            root = base / "deploy-link"
+            root.symlink_to(real_root)
+        for spot, target in links.items():
+            (real_root / spot).symlink_to(target.format(root=real_root, outside=outside))
+        components = itertools.product(("a", "d1", ".."), ("b", "d2"), ("c", "d3", "x"), ("d4", "f"))
+        paths = [
+            root.joinpath(*prefix)
+            for prefix in sorted({parts[:n] for parts in components for n in range(1, 5)})
+        ]
+        paths += [outside / "b", base / "deploy" / "a", root / "a" / ".." / ".." / "outside"]
+        paths += [base / "deploy-x" / "b"]
+        expected = [p for p in paths if not p.resolve().is_relative_to(root.resolve())]
+        assert list(escaping_paths(paths, root)) == expected

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import errno
 import os
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -253,8 +255,20 @@ def test_delta_sync_touches_only_changed_paths(published_ws):
         "x86_64/linux/sitea/hello/1.0/bin/hello",
         "x86_64/linux/sitea/app/1.0/bin/app",
     }
-    # hello is the live tree's copy; app and .revision come from objects/
-    assert (report.linked, report.copied, report.removed) == (1, 2, 0)
+    # hello is the live tree's copy and .revision its object; app is copied
+    assert (report.linked, report.copied, report.removed) == (2, 1, 0)
+    retired = cache.cache_root / next(g for g in GENERATIONS if g != spare.name)
+    inode = {
+        path: (os.stat(spare / path).st_ino, os.stat(retired / path).st_ino,
+               os.stat(cache._cache_object_path(wanted[path].object.sha256)).st_ino)
+        for path in changed
+    }
+    spare_ino, retired_ino, object_ino = inode[".revision"]
+    assert spare_ino == object_ino != retired_ino
+    spare_ino, retired_ino, object_ino = inode["x86_64/linux/sitea/hello/1.0/bin/hello"]
+    assert spare_ino == retired_ino != object_ino
+    spare_ino, retired_ino, object_ino = inode["x86_64/linux/sitea/app/1.0/bin/app"]
+    assert len({spare_ino, retired_ino, object_ino}) == 3
     for path, st in before.items():
         if path not in changed:
             now = os.stat(spare / path)
@@ -322,15 +336,72 @@ def three_heads(tmp_path):
     return repo, heads
 
 
+def assert_read_only_tree(repo, cache, head, linked=True):
+    """Every file of the live tree is mode 0444, or 0555 for an executable. A
+    plain file is a hard link to its object in ``objects/``, or, if ``linked``
+    is false, no file is."""
+    for e in catalog_entries(repo, head).values():
+        if e.mode != DIRECTORY:
+            st = os.stat(cache.tree_root / e.path)
+            assert st.st_mode & 0o777 == (0o555 if e.mode == EXECUTABLE else 0o444), e.path
+            blob = os.stat(cache._cache_object_path(e.object.sha256))
+            assert (st.st_ino == blob.st_ino) == (linked and e.mode != EXECUTABLE), e.path
+
+
 def test_tree_files_are_read_only(three_heads, tmp_path):
     repo, (h1, h2, h3) = three_heads
     cache = SiteCache(repo.path, tmp_path / "cache")
     for head in (h1, h2, h3):
         cache.sync(head)  # the third sync links and copies into a spare
-        for e in catalog_entries(repo, head).values():
-            if e.mode != DIRECTORY:
-                mode = os.stat(cache.tree_root / e.path).st_mode & 0o777
-                assert mode == (0o555 if e.mode == EXECUTABLE else 0o444), e.path
+        assert_read_only_tree(repo, cache, head)
+
+
+def test_objects_written_writable_become_read_only(three_heads, tmp_path):
+    repo, (h1, h2, h3) = three_heads
+    cache = SiteCache(repo.path, tmp_path / "cache")
+    cache.sync(h1)
+    # The state a cache whose objects were fetched at 0644 is in: objects of
+    # their own, writable, beside read-only tree files.
+    for blob in cache.objects_dir.glob("??/*"):
+        data = blob.read_bytes()
+        blob.unlink()
+        blob.write_bytes(data)
+        blob.chmod(0o644)
+    for head in (h2, h3):
+        cache.sync(head)
+        assert_read_only_tree(repo, cache, head)
+        assert tree_state(cache.tree_root) == catalog_state(repo, head)
+    assert not (cache.tree_root / ".revision").stat().st_mode & 0o222
+
+
+class RefusedLinks:
+    """The ``os`` module with every hard link to a path under ``root``
+    refused, as a file system refuses the link past an inode's limit."""
+
+    def __init__(self, root):
+        self.root = root
+
+    def link(self, source, dest):
+        if Path(source).is_relative_to(self.root):
+            raise OSError(errno.EMLINK, os.strerror(errno.EMLINK), str(source))
+        return os.link(source, dest)
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+
+def test_refused_link_to_an_object_falls_back_to_a_copy(tmp_path, monkeypatch):
+    repo = Repository.init(tmp_path / "repo")
+    files = {"a": "same", "b": "same", "c": "same", "d": "other"}
+    head = publish_files(repo, tmp_path / "src", files, executables=("c",))
+    cache = SiteCache(repo.path, tmp_path / "cache")
+    monkeypatch.setattr(siteclient, "os", RefusedLinks(cache.objects_dir))
+    report = cache.sync(head)
+    assert tree_state(cache.tree_root) == catalog_state(repo, head)
+    assert_read_only_tree(repo, cache, head, linked=False)
+    tree = cache.tree_root / "apps/demo"
+    assert os.stat(tree / "a").st_ino == os.stat(tree / "b").st_ino
+    assert (report.copied, report.linked) == (4, 1)  # .revision, a, c, d; b
 
 
 def test_payload_names_do_not_collide_with_sync_temporaries(tmp_path):
@@ -380,32 +451,43 @@ def sync_with_fault(monkeypatch, cache, head, k):
 
 
 def test_fault_at_every_call_of_a_delta_sync(three_heads, tmp_path, monkeypatch):
-    repo, (h1, h2, h3) = three_heads
-    old, new = catalog_state(repo, h2), catalog_state(repo, h3)
-    k = 0
-    while True:
-        k += 1
-        cache = SiteCache(repo.path, tmp_path / f"cache-{k}")
-        cache.sync(h1)
-        cache.sync(h2)
-        calls, failed = sync_with_fault(monkeypatch, cache, h3, k)
-        if len(calls) < k:
-            break  # the sync made fewer than k calls: every call has been failed once
-        state = tree_state(cache.tree_root)
-        assert state in (old, new), f"call {k} ({calls[k - 1]}) left a mixed tree"
-        tree_revision = int((cache.tree_root / ".revision").read_text())
-        assert cache.last_head.revision <= tree_revision
-        assert failed or calls[k - 1] == "link"  # a failed link falls back to a copy
+    repo, heads = three_heads
+    seen = set()
+    crash_points = []
+    # h1 -> h2 builds a fresh spare and copies the changed executable bin/a;
+    # h2 -> h3 changes the spare that holds h1.
+    for n in (1, 2):
+        old, new = catalog_state(repo, heads[n - 1]), catalog_state(repo, heads[n])
+        k = 0
+        while True:
+            k += 1
+            cache = SiteCache(repo.path, tmp_path / f"cache-{n}-{k}")
+            for head in heads[:n]:
+                cache.sync(head)
+            calls, failed = sync_with_fault(monkeypatch, cache, heads[n], k)
+            seen.update(calls)
+            if len(calls) < k:
+                break  # the sync made fewer than k calls: every call has been failed once
+            state = tree_state(cache.tree_root)
+            assert state in (old, new), f"call {k} ({calls[k - 1]}) left a mixed tree"
+            tree_revision = int((cache.tree_root / ".revision").read_text())
+            assert cache.last_head.revision <= tree_revision
+            assert failed or calls[k - 1] == "link"  # a failed link falls back to a copy
 
-        assert cache.sync(h3).revision == h3.revision
-        assert tree_state(cache.tree_root) == new
-        assert cache.last_head == h3
-        assert sorted(p.name for p in cache.cache_root.iterdir()) == [
-            ".tree.a", ".tree.a.catalog", ".tree.b", ".tree.b.catalog",
-            "head", "objects", "tree",
-        ]
-    assert k == 15  # each fetch, link, copy and rename of this delta sync
-    assert {"replace", "link", "copyfile"} <= set(calls)
+            assert cache.sync(heads[n]).revision == heads[n].revision
+            assert tree_state(cache.tree_root) == new
+            assert cache.last_head == heads[n]
+            assert_read_only_tree(repo, cache, heads[n])
+            assert sorted(p.name for p in cache.cache_root.iterdir()) == [
+                ".tree.a", ".tree.a.catalog", ".tree.b", ".tree.b.catalog",
+                "head", "objects", "tree",
+            ]
+        crash_points.append(k - 1)
+    # each fetch, link, copy and rename of the two delta syncs: 3 fetches, 5
+    # links and 1 copy into a fresh spare, then 3 fetches, 5 links and 3
+    # renames into the spare; each ends with the marker, tree and head renames
+    assert crash_points == [12, 14]
+    assert {"replace", "link", "copyfile"} <= seen
 
 
 def test_single_tree_cache_upgrades_on_next_sync(three_heads, tmp_path):
@@ -461,10 +543,17 @@ def test_paths_with_one_object_and_mode_share_one_copy(tmp_path):
     report = cache.sync(head)
     tree = cache.tree_root / "apps/demo"
     inode = {name: os.stat(tree / name).st_ino for name in files}
-    assert inode["a"] == inode["b"]
+    entries = catalog_entries(repo, head)
+    blob = {
+        name: os.stat(cache._cache_object_path(entries[f"apps/demo/{name}"].object.sha256)).st_ino
+        for name in files
+    }
+    assert inode["a"] == inode["b"] == blob["a"]
+    assert inode["d"] == blob["d"]
+    assert inode["c"] != blob["c"]
     assert len({inode["a"], inode["c"], inode["d"]}) == 3
     assert os.access(tree / "c", os.X_OK) and not os.access(tree / "a", os.X_OK)
-    assert (report.copied, report.linked) == (4, 1)  # .revision, a, c, d; b
+    assert (report.copied, report.linked) == (1, 4)  # c; .revision, a, b, d
     assert tree_state(cache.tree_root) == catalog_state(repo, head)
 
 
@@ -490,3 +579,89 @@ def test_unreadable_head_file_means_never_synced(published_ws, text):
     assert cache.poll()[0] == CHANGED
     head = cache.sync().revision
     assert cache.last_head.revision == head
+
+
+def proc_wchar():
+    """Bytes this process has passed to write calls, sendfile included."""
+    with open("/proc/self/io", encoding="ascii") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("wchar:"))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/io"), reason="no /proc/self/io")
+def test_sync_writes_each_delivered_byte_once(tmp_path):
+    repo = Repository.init(tmp_path / "repo")
+    payload = os.urandom(1 << 20)
+    src = tmp_path / "src"
+    for rel in ("lib/data", "bin/tool"):
+        (src / rel).parent.mkdir(parents=True)
+        (src / rel).write_bytes(payload)
+    (src / "bin/tool").chmod(0o755)
+    tx = repo.begin_transaction()
+    repo.stage(tx, src, "apps/demo")
+    head = repo.publish(tx, "job")
+    cache = SiteCache(repo.path, tmp_path / "cache")
+    before = proc_wchar()
+    report = cache.sync(head)
+    wrote = proc_wchar() - before
+    # the fetch, and the one copy an executable needs for its own mode
+    assert report.fetched_bytes > len(payload)
+    assert wrote < 1.1 * (report.fetched_bytes + len(payload))
+    assert tree_state(cache.tree_root) == catalog_state(repo, head)
+
+
+def synced_cache(repo, heads, path):
+    cache = SiteCache(repo.path, path)
+    for head in heads:
+        cache.sync(head)
+    return cache
+
+
+def test_verify_clean_cache_reads_each_byte_once(three_heads, tmp_path, monkeypatch):
+    repo, heads = three_heads
+    cache = synced_cache(repo, heads, tmp_path / "cache")
+    live = cache.cache_root / os.readlink(cache.tree_root)
+    hashed = []
+
+    def hash_file(path):
+        hashed.append(Path(path).relative_to(live).as_posix())
+        return repo_mod.hash_file(path)
+
+    monkeypatch.setattr(siteclient, "hash_file", hash_file)
+    report = cache.verify()
+    assert report.ok, report.problems()
+    assert report.checked == sum(1 for _ in cache.objects_dir.glob("??/*"))
+    assert report.paths == len(tree_state(cache.tree_root))
+    assert hashed == ["apps/demo/bin/a"]  # the one executable, an inode of its own
+
+
+def test_verify_names_each_damaged_path(three_heads, tmp_path):
+    repo, heads = three_heads
+    cache = synced_cache(repo, heads, tmp_path / "cache")
+    tree = cache.tree_root / "apps/demo"
+    sha = catalog_entries(repo, heads[-1])["apps/demo/lib/c"].object.sha256
+    (tree / "lib/c").chmod(0o644)
+    (tree / "lib/c").write_text("c4")  # through the link, into objects/ too
+    (tree / "bin/a").unlink()
+    (tree / "stray").write_text("x")
+    (tree / "var/empty").rmdir()
+    (tree / "var/empty").write_text("not a directory")
+    shutil.copytree(tree / "new/deep", tmp_path / "deep")  # a directory no entry names
+    shutil.rmtree(tree / "new/deep")
+    (tree / "new/deep").symlink_to(tmp_path / "deep")
+    assert cache.verify().problems() == [
+        f"object {sha} fails its digest",
+        "unexpected tree path apps/demo/stray",
+        "missing tree path apps/demo/bin/a",
+        "tree path apps/demo/lib/c has mode 644, not 444",
+        f"tree file apps/demo/lib/c does not match object {sha}",
+        "tree path apps/demo/new/deep is not a directory",
+        "tree path apps/demo/var/empty is not a directory",
+    ]
+
+
+def test_verify_finds_a_tree_behind_its_head(three_heads, tmp_path):
+    repo, heads = three_heads
+    cache = synced_cache(repo, heads, tmp_path / "cache")
+    sha, size, _, job = cache.head_path.read_text().split(" ")
+    cache.head_path.write_text(" ".join([sha, size, "4", job]))
+    assert cache.verify().problems() == ["tree .revision disagrees with head revision 4"]
