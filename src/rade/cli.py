@@ -76,15 +76,11 @@ def _publish(config, request: pipeline.PublicationRequest) -> repo_mod.RepoHead:
 
 def _save_run_artifacts(config, report: pipeline.RunReport) -> None:
     config.workdir.mkdir(parents=True, exist_ok=True)
-    (config.workdir / LAST_RUN_REPORT).write_text(report.render(), encoding="utf-8")
+    repo_mod.write_atomic(config.workdir / LAST_RUN_REPORT, report.render().encode("utf-8"))
     if report.publication is not None:
-        doc = {
-            "job_id": report.publication.job_id,
-            "stages": [[str(p), rp] for p, rp in report.publication.stages],
-        }
-        (config.workdir / PUBLICATION_MANIFEST).write_text(
-            json.dumps(doc, indent=2) + "\n", encoding="utf-8"
-        )
+        stages = [[str(p), rp] for p, rp in report.publication.stages]
+        doc = json.dumps({"job_id": report.publication.job_id, "stages": stages}, indent=2)
+        repo_mod.write_atomic(config.workdir / PUBLICATION_MANIFEST, (doc + "\n").encode())
 
 
 def _run_one_event(config, runner, corpus, graph, event) -> int:

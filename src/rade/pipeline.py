@@ -8,6 +8,7 @@ their dependencies' jobs on the same target to reach Delivered.
 """
 from __future__ import annotations
 
+import errno
 import logging
 import os
 import shutil
@@ -133,12 +134,25 @@ class PublicationRequest:
     stages: tuple[tuple[Path, str], ...]
 
 
+def _resolve(path) -> str:
+    """``str(Path(path).resolve())``, or "" if that meets a symlink loop, on
+    which Python 3.11 raises and 3.13 returns the looping link. "" and every
+    path joined below it are relative, so no root holds them."""
+    real = os.path.realpath(path)
+    try:
+        os.stat(real)
+    except OSError as exc:
+        if exc.errno == errno.ELOOP:
+            return ""
+    return real
+
+
 def escaping_paths(paths, root: Path):
     """Yield each of ``paths`` that ``path.resolve()`` would place outside
-    ``root.resolve()``. A path below ``root`` is followed from ``root`` one
-    component at a time, each component looked at once per call with an
-    ``lstat`` and resolved only if it is a symlink; any other path is
-    resolved whole."""
+    ``root.resolve()``, or whose resolution meets a symlink loop. A path below
+    ``root`` is followed from ``root`` one component at a time, each component
+    looked at once per call with an ``lstat`` and resolved only if it is a
+    symlink; any other path is resolved whole."""
     real_root = str(root.resolve())
     inside = os.path.join(real_root, "")
     top = os.path.join(str(root), "")
@@ -150,7 +164,7 @@ def escaping_paths(paths, root: Path):
             # lstat sees the component the kernel reaches through the real
             # parent, so a component that is no symlink is the parent's child
             real[path] = (
-                str(Path(path).resolve()) if os.path.islink(path)
+                _resolve(path) if os.path.islink(path)
                 else os.path.join(real_path(parent), name)
             )
         return real[path]
@@ -160,7 +174,7 @@ def escaping_paths(paths, root: Path):
         if text.startswith(top) and ".." not in text[len(top):].split("/"):
             resolved = real_path(text)
         else:
-            resolved = str(path.resolve())
+            resolved = _resolve(path)
         if resolved != real_root and not resolved.startswith(inside):
             yield path
 

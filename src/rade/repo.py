@@ -66,25 +66,6 @@ def hash_file(path: Path) -> tuple[str, int]:
     return digest.hexdigest(), size
 
 
-def hash_store(store: Path, report: VerifyReport) -> dict[tuple[int, int], str]:
-    """Hash every blob of a content-addressed store, ``.tmp`` names skipped.
-    Each blob counts in ``report.checked``, and each whose digest is not its
-    name goes in ``report.bad_objects``. Returns each digest by its blob's
-    (device, inode), so a caller can tell a hard link to a blob it has
-    already hashed."""
-    digests = {}
-    for blob in sorted(store.glob("??/*")):
-        if blob.name.endswith(".tmp"):
-            continue
-        expected = blob.parent.name + blob.name
-        report.checked += 1
-        st = blob.stat()
-        digest = digests[st.st_dev, st.st_ino] = hash_file(blob)[0]
-        if digest != expected:
-            report.bad_objects.append(expected)
-    return digests
-
-
 def _temporary(dest: Path) -> Path:
     """A unique name next to ``dest``, so concurrent writers of one path and
     readers of the directory never meet a half-written ``dest``."""
@@ -129,6 +110,51 @@ def copy_verified(
         return size
     finally:
         tmp.unlink(missing_ok=True)  # already gone once replaced
+
+
+class Store:
+    """A directory of blobs, each named by its sha256 as ``ab/cdef...`` and
+    written once, through a ``.tmp`` temporary that :meth:`hash_all` skips."""
+
+    def __init__(self, root: Path):
+        self.root = Path(root)
+
+    def path(self, sha: str) -> Path:
+        return self.root / sha[:2] / sha[2:]
+
+    def put_bytes(self, sha: str, data: bytes, mode: int | None = None) -> None:
+        """Store ``data`` as blob ``sha`` unless it is stored already."""
+        dest = self.path(sha)
+        if not dest.exists():
+            dest.parent.mkdir(parents=True, exist_ok=True)
+            write_atomic(dest, data, mode)
+
+    def put_copy(self, source: Path, sha: str, mode: int | None = None) -> int | None:
+        """Copy ``source`` in as blob ``sha`` unless it is stored already, and
+        return the blob's size; None, storing nothing, if the bytes differ."""
+        dest = self.path(sha)
+        try:
+            return dest.stat().st_size
+        except FileNotFoundError:
+            dest.parent.mkdir(parents=True, exist_ok=True)
+            return copy_verified(source, dest, sha, mode)
+
+    def hash_all(self, report: VerifyReport) -> dict[tuple[int, int], str]:
+        """Hash every blob but a ``.tmp`` temporary. Each counts in
+        ``report.checked``, and one whose digest is not its name goes in
+        ``report.bad_objects``. Returns the digests by (device, inode), so a
+        caller can tell a hard link to a blob it has already hashed."""
+        digests = {}
+        for blob in sorted(self.root.glob("??/*")):
+            if blob.name.endswith(".tmp"):
+                continue
+            expected = blob.parent.name + blob.name
+            report.checked += 1
+            st = blob.stat()
+            digest = digests[st.st_dev, st.st_ino] = hash_file(blob)[0]
+            if digest != expected:
+                report.bad_objects.append(expected)
+        return digests
 
 
 def _revision_bytes(revision: int) -> bytes:
@@ -201,6 +227,7 @@ class _StagedFile:
 class Transaction:
     id: str
     lock_fd: int  # the open ``lock`` file this transaction holds flock-ed
+    head: RepoHead  # read under the lock, so it stays HEAD until this publishes
     base: list[bytes]  # the head catalog's lines when the transaction began
     staged: dict[str, _StagedFile] = field(default_factory=dict)
     prefixes: set[str] = field(default_factory=set)
@@ -281,8 +308,8 @@ class Repository:
 
     def __init__(self, path: Path):
         self.path = Path(path)
-        self.objects_dir = self.path / "objects"
-        self.catalogs_dir = self.path / "catalogs"
+        self.objects = Store(self.path / "objects")
+        self.catalogs = Store(self.path / "catalogs")
         self.head_path = self.path / "HEAD"
         self.lock_path = self.path / "lock"
 
@@ -294,10 +321,9 @@ class Repository:
         repo = cls(path)
         if repo.head_path.exists():
             return repo
-        repo.objects_dir.mkdir(parents=True, exist_ok=True)
-        repo.catalogs_dir.mkdir(parents=True, exist_ok=True)
+        repo.objects.root.mkdir(parents=True, exist_ok=True)
         empty = b""  # the catalog with no entries
-        repo._write_blob(repo.catalogs_dir, sha256_hex(empty), empty)
+        repo.catalogs.put_bytes(sha256_hex(empty), empty)
         write_atomic(repo.path / REVISION_FILE, _revision_bytes(0))
         write_atomic(repo.head_path, f"{sha256_hex(empty)} 0 init\n".encode("ascii"))
         return repo
@@ -309,13 +335,8 @@ class Repository:
             raise CorruptHead(f"no repository at {path}")
         return repo
 
-    # -- paths ---------------------------------------------------------
-
     def object_path(self, sha: str) -> Path:
-        return self.objects_dir / sha[:2] / sha[2:]
-
-    def catalog_path(self, sha: str) -> Path:
-        return self.catalogs_dir / sha[:2] / sha[2:]
+        return self.objects.path(sha)
 
     # -- head ----------------------------------------------------------
 
@@ -331,9 +352,8 @@ class Repository:
         sha, rev_text, job_id = parts
         if len(sha) != 64 or not rev_text.isdigit():
             raise CorruptHead(f"malformed HEAD {text!r}")
-        catalog_file = self.catalog_path(sha)
         try:
-            size = catalog_file.stat().st_size
+            size = self.catalogs.path(sha).stat().st_size
         except OSError as exc:
             raise CorruptHead(f"HEAD references missing catalog {sha}") from exc
         return RepoHead(ObjectRef(sha, size), int(rev_text), job_id)
@@ -343,7 +363,7 @@ class Repository:
     ) -> list[bytes]:
         """The lines of a stored catalog, raising ``error`` unless it matches
         its digest. The one way every reader gets at a catalog."""
-        data = self.catalog_path(sha).read_bytes()
+        data = self.catalogs.path(sha).read_bytes()
         if sha256_hex(data) != sha:
             raise error(f"catalog {sha} fails its digest")
         return split_lines(data)
@@ -383,7 +403,7 @@ class Repository:
         except BaseException:
             os.close(fd)
             raise
-        return Transaction(id=f"tx-{uuid.uuid4().hex[:12]}", lock_fd=fd, base=base)
+        return Transaction(id=f"tx-{uuid.uuid4().hex[:12]}", lock_fd=fd, head=head, base=base)
 
     def abort(self, tx: Transaction) -> None:
         if tx.state == "open":
@@ -412,18 +432,19 @@ class Repository:
         for repo_path, fs_path in items:
             if repo_path == REVISION_FILE:
                 raise PathCollision(f"{REVISION_FILE} is maintained by publish")
-            if fs_path.is_dir():
-                if not any(fs_path.iterdir()):
-                    tx.staged[repo_path] = _StagedFile(DIRECTORY, "", 0, fs_path)
-                    count += 1
-                continue
-            sha, size = hash_file(fs_path)
+            try:
+                if fs_path.is_dir():
+                    if not any(fs_path.iterdir()):
+                        tx.staged[repo_path] = _StagedFile(DIRECTORY, "", 0, fs_path)
+                        count += 1
+                    continue
+                sha, size = hash_file(fs_path)
+            except OSError as exc:  # e.g. a dangling symlink or a symlink loop
+                raise StoreWriteFailure(f"cannot stage {repo_path}: {exc.strerror}") from exc
             mode = EXECUTABLE if os.access(fs_path, os.X_OK) else FILE
             previous = tx.staged.get(repo_path)
             if previous is not None and previous.sha256 != sha:
-                raise PathCollision(
-                    f"{repo_path} staged twice with different content"
-                )
+                raise PathCollision(f"{repo_path} staged twice with different content")
             tx.staged[repo_path] = _StagedFile(mode, sha, size, fs_path)
             count += 1
         tx.prefixes.add(prefix)
@@ -442,8 +463,7 @@ class Repository:
         """
         if tx.state != "open":
             raise TransactionInProgress(f"transaction {tx.id} is {tx.state}")
-        head = self.read_head()
-        revision = head.revision + 1
+        revision = tx.head.revision + 1
         rev_data = _revision_bytes(revision)
 
         added = [
@@ -456,14 +476,11 @@ class Repository:
         catalog_sha = sha256_hex(data)
 
         try:
-            for staged in tx.staged.values():
-                if staged.mode != DIRECTORY:
-                    self._store_object(staged)
-            self._write_blob(self.catalogs_dir, catalog_sha, data)
-            write_atomic(
-                self.head_path,
-                f"{catalog_sha} {revision} {job_id}\n".encode("utf-8"),
-            )
+            for s in tx.staged.values():
+                if s.mode != DIRECTORY and self.objects.put_copy(s.source, s.sha256) is None:
+                    raise StoreWriteFailure(f"{s.source} changed since staging")
+            self.catalogs.put_bytes(catalog_sha, data)
+            write_atomic(self.head_path, f"{catalog_sha} {revision} {job_id}\n".encode("utf-8"))
         except OSError as exc:
             raise StoreWriteFailure(str(exc)) from exc
 
@@ -480,14 +497,6 @@ class Repository:
         except OSError:
             pass
 
-    def _store_object(self, staged: _StagedFile) -> None:
-        final = self.object_path(staged.sha256)
-        if final.exists():
-            return
-        final.parent.mkdir(parents=True, exist_ok=True)
-        if copy_verified(staged.source, final, staged.sha256) is None:
-            raise StoreWriteFailure(f"{staged.source} changed since staging")
-
     # -- integrity -------------------------------------------------------
 
     def verify(self) -> VerifyReport:
@@ -495,8 +504,8 @@ class Repository:
         catalog's digest, its ``.revision`` entry and that each object it
         names exists."""
         report = VerifyReport()
-        for store in (self.objects_dir, self.catalogs_dir):
-            hash_store(store, report)
+        for store in (self.objects, self.catalogs):
+            store.hash_all(report)
         try:
             head = self.read_head()
             for line in self.catalog_lines(head.root_catalog.sha256):
@@ -507,20 +516,11 @@ class Repository:
                 if entry.path == REVISION_FILE:
                     if sha256_hex(_revision_bytes(head.revision)) != sha:
                         report.errors.append("revision entry disagrees with HEAD")
-                elif not self.object_path(sha).is_file():
+                elif not self.objects.path(sha).is_file():
                     report.missing_objects.append(sha)
         except CorruptHead as exc:
             report.errors.append(str(exc))
         return report
-
-    # -- low level -------------------------------------------------------
-
-    def _write_blob(self, store: Path, sha: str, data: bytes) -> None:
-        final = store / sha[:2] / sha[2:]
-        if final.exists():
-            return
-        final.parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(final, data)
 
 
 @dataclass

@@ -33,12 +33,11 @@ from .repo import (
     ObjectRef,
     RepoHead,
     Repository,
+    Store,
     VerifyReport,
     _revision_bytes,
-    copy_verified,
     entry_line,
     hash_file,
-    hash_store,
     parse_line,
     sha256_hex,
     write_atomic,
@@ -104,7 +103,7 @@ class SiteCache:
         # Absolute, so the paths run_mve hands to the tests do not depend on
         # their working directory; not resolved, so they go through ``tree``.
         self.cache_root = Path(cache_root).absolute()
-        self.objects_dir = self.cache_root / "objects"
+        self.objects = Store(self.cache_root / "objects")
         self.tree_root = self.cache_root / "tree"
         self.head_path = self.cache_root / "head"
 
@@ -153,7 +152,7 @@ class SiteCache:
         """
         if head is None:
             head = self.repo.read_head()
-        self.objects_dir.mkdir(parents=True, exist_ok=True)
+        self.objects.root.mkdir(parents=True, exist_ok=True)
         wanted = set(self.repo.catalog_lines(head.root_catalog.sha256, IntegrityError))
         live = self._live_generation()
         held = self._held(live) or set()
@@ -163,13 +162,24 @@ class SiteCache:
         fetched = set()
         fetched_bytes = 0
         for entry in new.values():
-            if entry.mode == DIRECTORY:
+            if entry.mode == DIRECTORY or self.objects.path(entry.object.sha256).is_file():
                 continue
-            cached = self._cache_object_path(entry.object.sha256)
-            if cached.is_file():
-                continue
-            fetched_bytes += self._fetch(entry, head, cached)
-            fetched.add(entry.object.sha256)
+            sha = entry.object.sha256
+            if entry.path == REVISION_FILE:  # derived from HEAD, not stored in objects/
+                data = _revision_bytes(head.revision)
+                if sha256_hex(data) != sha:
+                    raise IntegrityError(f"object {sha} fails its digest")
+                self.objects.put_bytes(sha, data, 0o444)
+                size = len(data)
+            else:
+                blob = self.repo.objects.path(sha)
+                if not blob.is_file():
+                    raise IntegrityError(f"object {sha} missing from repository")
+                size = self.objects.put_copy(blob, sha, 0o444)
+                if size is None:
+                    raise IntegrityError(f"object {sha} fails its digest")
+            fetched_bytes += size
+            fetched.add(sha)
 
         report = SyncReport(head.revision, len(fetched), fetched_bytes)
         spare = GENERATIONS[1] if live == GENERATIONS[0] else GENERATIONS[0]
@@ -205,29 +215,6 @@ class SiteCache:
             return set(self.repo.catalog_lines(sha))
         except (OSError, RadeError):
             return None
-
-    def _cache_object_path(self, sha: str) -> Path:
-        return self.objects_dir / sha[:2] / sha[2:]
-
-    def _fetch(self, entry: CatalogEntry, head: RepoHead, cached: Path) -> int:
-        """Copy an entry's object into ``objects/``, read-only, if it matches
-        its digest, and return its size."""
-        sha = entry.object.sha256
-        cached.parent.mkdir(parents=True, exist_ok=True)
-        # The revision counter is derived from HEAD, not stored in objects/.
-        if entry.path == REVISION_FILE:
-            data = _revision_bytes(head.revision)
-            if sha256_hex(data) != sha:
-                raise IntegrityError(f"object {sha} fails its digest")
-            write_atomic(cached, data, 0o444)
-            return len(data)
-        blob = self.repo.object_path(sha)
-        if not blob.is_file():
-            raise IntegrityError(f"object {sha} missing from repository")
-        size = copy_verified(blob, cached, sha, 0o444)
-        if size is None:
-            raise IntegrityError(f"object {sha} fails its digest")
-        return size
 
     def _apply(
         self,
@@ -315,7 +302,7 @@ class SiteCache:
             if any(self._link(source, target) for source in sources):
                 report.linked += 1
             else:
-                shutil.copyfile(self._cache_object_path(sha), target)
+                shutil.copyfile(self.objects.path(sha), target)
                 os.chmod(target, 0o555 if entry.mode == EXECUTABLE else 0o444)
                 report.copied += 1
                 copies[key] = dest
@@ -327,7 +314,7 @@ class SiteCache:
         known to be: a cache written before objects were fetched read-only
         holds them at 0644, and a tree file linked to one would be
         writable."""
-        path = self._cache_object_path(sha)
+        path = self.objects.path(sha)
         if sha not in read_only:
             os.chmod(path, 0o444)
             read_only.add(sha)
@@ -350,7 +337,7 @@ class SiteCache:
         at the synced head's revision. A tree file that is a hard link to an
         object already hashed is not read again."""
         report = VerifyReport()
-        digests = hash_store(self.objects_dir, report)
+        digests = self.objects.hash_all(report)
         head = self.last_head
         if head is None:
             report.errors.append("cache has never synced")

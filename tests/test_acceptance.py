@@ -202,7 +202,7 @@ def test_criterion_5_integrity(tmp_path, capsys):
             for e in catalog_entries(repo, head).values()
             if e.mode != "directory" and e.path != ".revision"
         ]
-        candidates.append(repo.catalog_path(head.root_catalog.sha256))
+        candidates.append(repo.catalogs.path(head.root_catalog.sha256))
 
         rng = random.Random(0xBADC0DE)
         detected = 0
@@ -242,7 +242,7 @@ def test_criterion_6_determinism_golden(tmp_path, capsys):
             capsys.readouterr()
             repo = Repository.open(ws.repo_path)
             head = repo.read_head()
-            catalog_bytes = repo.catalog_path(head.root_catalog.sha256).read_bytes()
+            catalog_bytes = repo.catalogs.path(head.root_catalog.sha256).read_bytes()
             modulefiles = {
                 str(p.relative_to(ws.deploy_root)): p.read_bytes()
                 for p in (ws.deploy_root / "modulefiles").rglob("*")
@@ -277,7 +277,7 @@ def test_criterion_7_dedup(tmp_path):
         (payload / "lib" / "libtool.so").write_text("not really elf\n")
 
         def object_count():
-            return sum(1 for p in repo.objects_dir.rglob("*") if p.is_file())
+            return sum(1 for p in repo.objects.root.rglob("*") if p.is_file())
 
         revision_file = repo.path / ".revision"
         assert revision_file.read_text() == "0\n"

@@ -183,7 +183,7 @@ def test_published_catalog_equals_the_entry_model(steps):
         model: dict[str, CatalogEntry] = {}
         for n, staged in enumerate(steps):
             head = publish(repo, model, staged, scratch / "src", f"job-{n}")
-            blob = repo.catalog_path(head.root_catalog.sha256).read_bytes()
+            blob = repo.catalogs.path(head.root_catalog.sha256).read_bytes()
             assert blob == serialize(model.values())
             assert catalog_entries(repo, head) == model
 

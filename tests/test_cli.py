@@ -1,16 +1,18 @@
 from __future__ import annotations
 
+import errno
 import json
 import os
 import shutil
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rade import depgraph, recipes
+from rade import cli, depgraph, pipeline, recipes
 from rade.cli import main
 from rade.repo import Repository
 from toycorpus import catalog_entries, make_workspace, tick, write_event, write_recipe
@@ -162,11 +164,11 @@ class TestRun:
         e1 = write_event(ws.spool_dir / "e1.json", "evt-1", ["hello/1.0/build.sh"])
         run_cli("run", "--config", ws.config_path, "--event", e1)
         repo = Repository.open(ws.repo_path)
-        before = sorted(p for p in repo.objects_dir.rglob("*") if p.is_file())
+        before = sorted(p for p in repo.objects.root.rglob("*") if p.is_file())
         e2 = write_event(ws.spool_dir / "e2.json", "evt-2", ["hello/1.0/build.sh"])
         rc = run_cli("run", "--config", ws.config_path, "--event", e2)
         assert rc == 0
-        after = sorted(p for p in repo.objects_dir.rglob("*") if p.is_file())
+        after = sorted(p for p in repo.objects.root.rglob("*") if p.is_file())
         assert before == after
         assert repo.read_head().revision == 2
 
@@ -324,6 +326,58 @@ def test_unreadable_event_fails_without_traceback(ws, capsys, command, case):
     assert err.startswith(f"{prefix}{event}")
     assert err.count("\n") == 1
     assert not ws.workdir.exists()
+
+
+@pytest.mark.parametrize(
+    "target, reason",
+    [("missing", "No such file or directory"), ("bad", "Too many levels of symbolic links")],
+)
+def test_unreadable_payload_file_fails_without_traceback(ws, capsys, target, reason):
+    a = write_event(ws.spool_dir / "a.json", "evt-a", ["hello/1.0/build.sh"])
+    assert run_cli("run", "--config", ws.config_path, "--event", a) == 0
+    before = (ws.repo_path / "HEAD").read_bytes()
+    # a dangling link, or a link to itself, inside the delivered prefix
+    (ws.corpus_root / "hello" / "1.0" / "deploy.sh").write_text(
+        "#!/bin/sh\nset -eu\n"
+        'PREFIX="${DEPLOY_PREFIX:-$INSTALL_PREFIX}"\n'
+        'mkdir -p "$PREFIX/bin"\n'
+        'cp "$BUILD_DIR/hello" "$PREFIX/bin/hello"\n'
+        f'ln -s {target} "$PREFIX/bin/bad"\n'
+    )
+    b = write_event(ws.spool_dir / "b.json", "evt-b", ["hello/1.0/deploy.sh"])
+    capsys.readouterr()
+    assert run_cli("run", "--config", ws.config_path, "--event", b) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot stage x86_64/linux/sitea/hello/1.0/bin/bad: {reason}\n"
+    )
+    assert (ws.repo_path / "HEAD").read_bytes() == before
+    assert run_cli("verify", "--config", ws.config_path) == 0
+
+
+@pytest.mark.parametrize("failing", [cli.LAST_RUN_REPORT, cli.PUBLICATION_MANIFEST])
+def test_failed_artifact_write_leaves_the_previous_file_whole(ws, monkeypatch, failing):
+    a = write_event(ws.spool_dir / "a.json", "evt-a", ["hello/1.0/build.sh"])
+    assert run_cli("run", "--config", ws.config_path, "--event", a) == 0
+    names = (cli.LAST_RUN_REPORT, cli.PUBLICATION_MANIFEST)
+    before = {name: (ws.workdir / name).read_bytes() for name in names}
+    real_open = Path.open
+
+    def open_then_fail(self, mode="r", *args, **kwargs):
+        fh = real_open(self, mode, *args, **kwargs)
+        if "w" in mode and failing in self.name:  # opened for writing, then the disk fills
+            fh.close()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return fh
+
+    report = pipeline.RunReport([], pipeline.PublicationRequest("evt-b", ((ws.root, "x"),)))
+    monkeypatch.setattr(Path, "open", open_then_fail)
+    with pytest.raises(OSError):
+        cli._save_run_artifacts(SimpleNamespace(workdir=ws.workdir), report)
+    monkeypatch.undo()
+    assert (ws.workdir / failing).read_bytes() == before[failing]
+    if failing == cli.PUBLICATION_MANIFEST:  # written whole before the failure
+        assert (ws.workdir / cli.LAST_RUN_REPORT).read_text() == "RESULT ok\n"
+    assert not [p for p in ws.workdir.iterdir() if p.name.endswith(".tmp")]
 
 
 class TestResolve:

@@ -301,6 +301,26 @@ ln -s "{elsewhere}" "$PREFIX"
         target = Target("x86_64", "linux", "sitea")
         assert prefix_for(runner.deploy, target, "hello", "1.0").is_symlink()
 
+    def test_prefix_left_as_a_symlink_loop_publishes_nothing(self, small_ws):
+        # app, delivered after libdemo, leaves libdemo's deploy prefix a loop
+        deploy = small_ws.corpus_root / "app" / "1.0" / "deploy.sh"
+        deploy.write_text("""\
+#!/bin/sh
+set -eu
+PREFIX="${DEPLOY_PREFIX:-$INSTALL_PREFIX}"
+mkdir -p "$PREFIX/bin"
+cp "$BUILD_DIR/app" "$PREFIX/bin/app"
+if [ -n "${DEPLOY_PREFIX:-}" ]; then
+    cd "$PREFIX/../../libdemo"
+    rm -rf 1.0
+    ln -s 1.0 1.0
+fi
+""")
+        config, corpus, graph, runner = make_runner(small_ws)
+        build_plan = plan(EVENT_LIBDEMO, corpus, graph, config.matrix)
+        with pytest.raises(InvariantViolation, match="libdemo/1.0 escapes the deploy tree"):
+            runner.run_plan(build_plan, config.width)
+
     def test_delivered_modulefile_setenv_matches_prefix(self, small_ws):
         from rade.envtree import DEPLOY, EnvTree, modulefile_path, prefix_for
 
@@ -790,3 +810,19 @@ def test_escaping_paths_agrees_with_resolve(links, linked_root):
         paths += [base / "deploy-x" / "b"]
         expected = [p for p in paths if not p.resolve().is_relative_to(root.resolve())]
         assert list(escaping_paths(paths, root)) == expected
+
+
+def test_escaping_paths_counts_a_symlink_loop_as_escaping(tmp_path):
+    root = tmp_path / "deploy"
+    (root / "x" / "ok").mkdir(parents=True)
+    (root / "x" / "loop").symlink_to("loop")
+    (root / "x" / "pair").symlink_to("loop")
+    paths = [
+        root / "x" / "ok",
+        root / "x" / "loop",
+        root / "x" / "loop" / "a",
+        root / "x" / "pair" / "a",
+        root / "x" / ".." / "x" / "loop",
+        root / "x" / "missing",
+    ]
+    assert list(escaping_paths(paths, root)) == paths[1:5]

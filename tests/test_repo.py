@@ -21,6 +21,7 @@ from rade.repo import (
     CatalogEntry,
     ObjectRef,
     Repository,
+    Store,
     entry_line,
     parse_line,
     sha256_hex,
@@ -45,7 +46,7 @@ def make_tree(root, files, executables=()):
 
 def object_files(repo):
     return sorted(
-        p for p in repo.objects_dir.rglob("*") if p.is_file() and not p.name.endswith(".tmp")
+        p for p in repo.objects.root.rglob("*") if p.is_file() and not p.name.endswith(".tmp")
     )
 
 
@@ -134,6 +135,19 @@ class TestTransactions:
             holder.stdout.close()
         tx = repo.begin_transaction(wait_s=0)
         repo.abort(tx)
+
+    def test_publish_takes_the_head_read_under_the_lock(self, repo, tmp_path, monkeypatch):
+        tree = make_tree(tmp_path / "t", {"a": "content"})
+        tx = repo.begin_transaction()
+        repo.stage(tx, tree, "apps")
+        assert tx.head == repo.read_head()
+        reads = []
+        original = Repository.read_head
+        monkeypatch.setattr(
+            Repository, "read_head", lambda self: reads.append(self) or original(self)
+        )
+        head = repo.publish(tx, "job-1")
+        assert (reads, head.revision) == ([], 1)
 
 
 class TestStaging:
@@ -303,12 +317,12 @@ class TestFileParentCollision:
     @staticmethod
     def assert_rejected(repo, tx):
         before = repo.read_head()
-        catalogs = sorted(repo.catalogs_dir.rglob("*"))
+        catalogs = sorted(repo.catalogs.root.rglob("*"))
         objects = object_files(repo)
         with pytest.raises(PathCollision, match="parent of another path"):
             repo.publish(tx, "job-x")
         assert repo.read_head() == before
-        assert sorted(repo.catalogs_dir.rglob("*")) == catalogs
+        assert sorted(repo.catalogs.root.rglob("*")) == catalogs
         assert object_files(repo) == objects
         repo.abort(tx)
 
@@ -359,15 +373,15 @@ class TestStoreFailure:
         repo.stage(tx, tree, "apps")
         before = repo.read_head()
 
-        original = Repository._write_blob
+        original = Store.put_bytes
 
-        def boom(self, store, sha, data):
+        def boom(self, sha, data, mode=None):
             raise OSError("disk full")
 
-        monkeypatch.setattr(Repository, "_write_blob", boom)
+        monkeypatch.setattr(Store, "put_bytes", boom)
         with pytest.raises(StoreWriteFailure):
             repo.publish(tx, "job-x")
-        monkeypatch.setattr(Repository, "_write_blob", original)
+        monkeypatch.setattr(Store, "put_bytes", original)
 
         assert repo.read_head() == before
         assert tx.state == "open"
@@ -388,13 +402,66 @@ class TestStoreFailure:
             repo.publish(tx, "job-x")
         assert repo.read_head() == before
         assert tx.state == "open"
-        assert [p for p in repo.objects_dir.rglob("*") if p.is_file()] == []
+        assert [p for p in repo.objects.root.rglob("*") if p.is_file()] == []
         repo.abort(tx)
+
+
+class TestStore:
+    def test_put_of_a_stored_digest_writes_nothing(self, tmp_path, monkeypatch):
+        store = Store(tmp_path / "store")
+        sha = sha256_hex(b"kept")
+        store.put_bytes(sha, b"kept")
+        before = store.path(sha).stat()
+        source = tmp_path / "other"
+        source.write_bytes(b"other bytes")
+
+        def no_write(*args, **kwargs):
+            raise AssertionError("a stored blob was written again")
+
+        monkeypatch.setattr(repo_mod, "write_atomic", no_write)
+        monkeypatch.setattr(repo_mod, "copy_verified", no_write)
+        store.put_bytes(sha, b"other bytes", 0o444)
+        assert store.put_copy(source, sha, 0o444) == len(b"kept")
+        after = store.path(sha).stat()
+        assert (after.st_ino, after.st_mode, after.st_mtime_ns) == (
+            before.st_ino, before.st_mode, before.st_mtime_ns
+        )
+        assert store.path(sha).read_bytes() == b"kept"
+
+    def test_put_copy_of_bytes_that_do_not_match_stores_nothing(self, tmp_path):
+        store = Store(tmp_path / "store")
+        source = tmp_path / "f"
+        source.write_bytes(b"x" * (CHUNK_SIZE + 1))
+        sha = sha256_hex(b"something else")
+        assert store.put_copy(source, sha) is None
+        assert [p.name for p in store.root.rglob("*") if p.is_file()] == []
+        assert store.put_copy(source, sha256_hex(source.read_bytes()), 0o444) == CHUNK_SIZE + 1
+        (blob,) = [p for p in store.root.rglob("*") if p.is_file()]
+        assert (blob.parent.name + blob.name, blob.stat().st_mode & 0o777) == (
+            sha256_hex(source.read_bytes()), 0o444
+        )
+
+    def test_hash_all_flags_misnamed_skips_temporaries_and_knows_links(self, tmp_path):
+        store = Store(tmp_path / "store")
+        good, other = sha256_hex(b"good"), sha256_hex(b"other")
+        store.put_bytes(good, b"good")
+        store.put_bytes(other, b"not other")  # a blob whose name is not its digest
+        temporary = store.path(good).parent / f".{store.path(good).name}.0123abcd.tmp"
+        temporary.write_bytes(b"half written")
+        link = tmp_path / "tree-file"
+        os.link(store.path(good), link)
+        report = repo_mod.VerifyReport()
+        digests = store.hash_all(report)
+        assert report.checked == 2
+        assert report.bad_objects == [other]
+        st = link.stat()
+        assert digests[st.st_dev, st.st_ino] == good
+        assert sorted(digests.values()) == sorted([good, sha256_hex(b"not other")])
 
 
 def temporaries(repo):
     """Temporaries left in objects/, catalogs/ or the repository root."""
-    found = [*repo.objects_dir.rglob("*"), *repo.catalogs_dir.rglob("*"), *repo.path.iterdir()]
+    found = [*repo.objects.root.rglob("*"), *repo.catalogs.root.rglob("*"), *repo.path.iterdir()]
     return [p for p in found if p.name.endswith(".tmp")]
 
 
@@ -463,7 +530,7 @@ class TestCanonicalCatalog:
         tx = repo.begin_transaction()
         repo.stage(tx, tmp_path / "t", "apps")
         head = repo.publish(tx, "job-1")
-        lines = repo.catalog_path(head.root_catalog.sha256).read_bytes().splitlines()
+        lines = repo.catalogs.path(head.root_catalog.sha256).read_bytes().splitlines()
         assert [line.split(b"\t")[0] for line in lines] == [b".revision", b"apps/a", b"apps/b"]
 
     def test_identical_content_identical_bytes(self, tmp_path):
@@ -474,7 +541,7 @@ class TestCanonicalCatalog:
             tx = repo.begin_transaction()
             repo.stage(tx, tree, "apps/demo")
             head = repo.publish(tx, "job")
-            trees.append(repo.catalog_path(head.root_catalog.sha256).read_bytes())
+            trees.append(repo.catalogs.path(head.root_catalog.sha256).read_bytes())
         assert trees[0] == trees[1]
 
 

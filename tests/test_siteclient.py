@@ -194,7 +194,7 @@ def test_each_object_transferred_at_most_once(published_ws):
     for i in range(3):
         deliver_and_publish(ws, ["hello/1.0/build.sh"], event_id=f"evt-d{i}")
         total_fetched += cache.sync().fetched_objects
-    cached = sum(1 for p in cache.objects_dir.rglob("*") if p.is_file())
+    cached = sum(1 for p in cache.objects.root.rglob("*") if p.is_file())
     assert total_fetched == cached  # no object ever fetched twice
 
 
@@ -260,7 +260,7 @@ def test_delta_sync_touches_only_changed_paths(published_ws):
     retired = cache.cache_root / next(g for g in GENERATIONS if g != spare.name)
     inode = {
         path: (os.stat(spare / path).st_ino, os.stat(retired / path).st_ino,
-               os.stat(cache._cache_object_path(wanted[path].object.sha256)).st_ino)
+               os.stat(cache.objects.path(wanted[path].object.sha256)).st_ino)
         for path in changed
     }
     spare_ino, retired_ino, object_ino = inode[".revision"]
@@ -344,7 +344,7 @@ def assert_read_only_tree(repo, cache, head, linked=True):
         if e.mode != DIRECTORY:
             st = os.stat(cache.tree_root / e.path)
             assert st.st_mode & 0o777 == (0o555 if e.mode == EXECUTABLE else 0o444), e.path
-            blob = os.stat(cache._cache_object_path(e.object.sha256))
+            blob = os.stat(cache.objects.path(e.object.sha256))
             assert (st.st_ino == blob.st_ino) == (linked and e.mode != EXECUTABLE), e.path
 
 
@@ -362,7 +362,7 @@ def test_objects_written_writable_become_read_only(three_heads, tmp_path):
     cache.sync(h1)
     # The state a cache whose objects were fetched at 0644 is in: objects of
     # their own, writable, beside read-only tree files.
-    for blob in cache.objects_dir.glob("??/*"):
+    for blob in cache.objects.root.glob("??/*"):
         data = blob.read_bytes()
         blob.unlink()
         blob.write_bytes(data)
@@ -395,7 +395,7 @@ def test_refused_link_to_an_object_falls_back_to_a_copy(tmp_path, monkeypatch):
     files = {"a": "same", "b": "same", "c": "same", "d": "other"}
     head = publish_files(repo, tmp_path / "src", files, executables=("c",))
     cache = SiteCache(repo.path, tmp_path / "cache")
-    monkeypatch.setattr(siteclient, "os", RefusedLinks(cache.objects_dir))
+    monkeypatch.setattr(siteclient, "os", RefusedLinks(cache.objects.root))
     report = cache.sync(head)
     assert tree_state(cache.tree_root) == catalog_state(repo, head)
     assert_read_only_tree(repo, cache, head, linked=False)
@@ -545,7 +545,7 @@ def test_paths_with_one_object_and_mode_share_one_copy(tmp_path):
     inode = {name: os.stat(tree / name).st_ino for name in files}
     entries = catalog_entries(repo, head)
     blob = {
-        name: os.stat(cache._cache_object_path(entries[f"apps/demo/{name}"].object.sha256)).st_ino
+        name: os.stat(cache.objects.path(entries[f"apps/demo/{name}"].object.sha256)).st_ino
         for name in files
     }
     assert inode["a"] == inode["b"] == blob["a"]
@@ -566,7 +566,7 @@ def test_failed_fetch_leaves_no_temporary(three_heads, tmp_path):
     with pytest.raises(IntegrityError):
         cache.sync(h3)
     assert cache.last_head == h2
-    assert [p for p in cache.objects_dir.rglob("*") if p.name.endswith(".tmp")] == []
+    assert [p for p in cache.objects.root.rglob("*") if p.name.endswith(".tmp")] == []
 
 
 @pytest.mark.parametrize("text", ["garbage\n", "", "a b c\n", "sha 12 x job\n"])
@@ -629,7 +629,7 @@ def test_verify_clean_cache_reads_each_byte_once(three_heads, tmp_path, monkeypa
     monkeypatch.setattr(siteclient, "hash_file", hash_file)
     report = cache.verify()
     assert report.ok, report.problems()
-    assert report.checked == sum(1 for _ in cache.objects_dir.glob("??/*"))
+    assert report.checked == sum(1 for _ in cache.objects.root.glob("??/*"))
     assert report.paths == len(tree_state(cache.tree_root))
     assert hashed == ["apps/demo/bin/a"]  # the one executable, an inode of its own
 
