@@ -15,7 +15,13 @@ from pathlib import Path
 from . import depgraph, pipeline, recipes, repo as repo_mod, siteclient
 from .config import load_config
 from .envtree import DEPLOY, INTEGRATION, EnvTree
-from .errors import ConfigError, RadeError, SchemaViolation
+from .errors import (
+    ConfigError,
+    InvariantViolation,
+    RadeError,
+    SchemaViolation,
+    StoreWriteFailure,
+)
 from .targets import parse_target_id
 
 log = logging.getLogger(__name__)
@@ -75,19 +81,28 @@ def _publish(config, request: pipeline.PublicationRequest) -> repo_mod.RepoHead:
 
 
 def _save_run_artifacts(config, report: pipeline.RunReport) -> None:
-    config.workdir.mkdir(parents=True, exist_ok=True)
-    repo_mod.write_atomic(config.workdir / LAST_RUN_REPORT, report.render().encode("utf-8"))
-    if report.publication is not None:
-        stages = [[str(p), rp] for p, rp in report.publication.stages]
-        doc = json.dumps({"job_id": report.publication.job_id, "stages": stages}, indent=2)
-        repo_mod.write_atomic(config.workdir / PUBLICATION_MANIFEST, (doc + "\n").encode())
+    path = config.workdir / LAST_RUN_REPORT
+    try:
+        config.workdir.mkdir(parents=True, exist_ok=True)
+        repo_mod.write_atomic(path, report.render().encode("utf-8"))
+        if report.publication is not None:
+            stages = [[str(p), rp] for p, rp in report.publication.stages]
+            doc = json.dumps({"job_id": report.publication.job_id, "stages": stages}, indent=2)
+            path = config.workdir / PUBLICATION_MANIFEST
+            repo_mod.write_atomic(path, (doc + "\n").encode())
+    except OSError as exc:  # e.g. a full disk
+        raise StoreWriteFailure(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _run_one_event(config, runner, corpus, graph, event) -> int:
     build_plan = pipeline.plan(event, corpus, graph, config.matrix)
     if build_plan.jobs:  # an older run's publication names prefixes this run rewrites
         (config.workdir / PUBLICATION_MANIFEST).unlink(missing_ok=True)
-    report = runner.run_plan(build_plan, config.width)
+    try:
+        report = runner.run_plan(build_plan, config.width)
+    except InvariantViolation as exc:  # the payload gate: this event fails alone
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_JOB_FAILURE
     _save_run_artifacts(config, report)
     print(report.render(), end="")
     if report.publication is not None:

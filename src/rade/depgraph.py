@@ -12,12 +12,7 @@ import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .errors import (
-    DependencyCycle,
-    UnknownDependency,
-    UnknownNode,
-    UnsatisfiableConstraint,
-)
+from .errors import DependencyCycle, UnknownDependency, UnsatisfiableConstraint
 from .recipes import Corpus
 from .targets import Target, target_id
 from .versions import VersionConstraint, max_version
@@ -147,9 +142,6 @@ def _find_cycle(graph: DependencyGraph) -> list[Node] | None:
 
 def rebuild_set(graph: DependencyGraph, changed: set[Node]) -> set[Node]:
     """Changed nodes plus every transitive dependent (reverse reachability)."""
-    unknown = changed - graph.nodes
-    if unknown:
-        raise UnknownNode(f"not in graph: {sorted(unknown)}")
     result = set(changed)
     frontier = list(changed)
     while frontier:
@@ -164,9 +156,6 @@ def rebuild_set(graph: DependencyGraph, changed: set[Node]) -> set[Node]:
 def build_order(graph: DependencyGraph, subset: set[Node]) -> list[Node]:
     """Topological order of ``subset`` (dependencies first); among the valid
     orders, the lexicographically least by (name, version)."""
-    unknown = subset - graph.nodes
-    if unknown:
-        raise UnknownNode(f"not in graph: {sorted(unknown)}")
     pending_deps: dict[Node, set[Node]] = {
         node: {dep for dep in graph.deps.get(node, ()) if dep in subset}
         for node in subset
@@ -182,5 +171,4 @@ def build_order(graph: DependencyGraph, subset: set[Node]) -> list[Node]:
                 pending_deps[dependent].discard(node)
                 if not pending_deps[dependent]:
                     heapq.heappush(ready, dependent)
-    assert len(order) == len(subset), "graph verified acyclic at construction"
     return order

@@ -28,8 +28,6 @@ class EnvTree:
     root: Path
 
     def __post_init__(self):
-        if self.kind not in (INTEGRATION, DEPLOY):
-            raise InvariantViolation(f"unknown tree kind {self.kind!r}")
         object.__setattr__(self, "root", Path(self.root))
 
 

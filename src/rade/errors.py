@@ -48,10 +48,6 @@ class DependencyCycle(RadeError):
         super().__init__(" -> ".join("%s/%s" % node for node in self.cycle))
 
 
-class UnknownNode(RadeError):
-    """An operation referenced a node not present in the graph."""
-
-
 # --- pipeline phases ---
 
 

@@ -149,34 +149,25 @@ def _resolve(path) -> str:
 
 def escaping_paths(paths, root: Path):
     """Yield each of ``paths`` that ``path.resolve()`` would place outside
-    ``root.resolve()``, or whose resolution meets a symlink loop. A path below
-    ``root`` is followed from ``root`` one component at a time, each component
-    looked at once per call with an ``lstat`` and resolved only if it is a
-    symlink; any other path is resolved whole."""
+    ``root.resolve()``, or whose resolution meets a symlink loop."""
     real_root = str(root.resolve())
     inside = os.path.join(real_root, "")
-    top = os.path.join(str(root), "")
-    real = {top[:-1]: real_root}  # root or a path below it -> its resolved path
-
-    def real_path(path: str) -> str:
-        if path not in real:
-            parent, name = path.rsplit("/", 1)
-            # lstat sees the component the kernel reaches through the real
-            # parent, so a component that is no symlink is the parent's child
-            real[path] = (
-                _resolve(path) if os.path.islink(path)
-                else os.path.join(real_path(parent), name)
-            )
-        return real[path]
-
     for path in paths:
-        text = str(path)
-        if text.startswith(top) and ".." not in text[len(top):].split("/"):
-            resolved = real_path(text)
-        else:
-            resolved = _resolve(path)
+        resolved = _resolve(path)
         if resolved != real_root and not resolved.startswith(inside):
             yield path
+
+
+def _payload_paths(roots):
+    """``roots``, then every symlink below them, found by a walk that follows
+    none: staging reads a file through its links."""
+    yield from roots
+    for root in roots:
+        for parent, dirs, files in os.walk(root):
+            for name in dirs + files:
+                path = os.path.join(parent, name)
+                if os.path.islink(path):
+                    yield path
 
 
 @dataclass
@@ -480,8 +471,6 @@ class JobRunner:
         either, and its log is left empty. The report holds the jobs
         themselves, in plan order.
         """
-        if width < 1:
-            raise InvariantViolation("width must be >= 1")
         jobs = {
             (name, version, target_id(t)): self.new_job(name, version, t)
             for name, version, t in build_plan.jobs
@@ -526,7 +515,8 @@ class JobRunner:
         report = RunReport(outcomes=list(jobs.values()))
         if build_plan.jobs and report.ok:
             stages = [stage for job in jobs.values() for stage in job.payload]
-            escaped = next(escaping_paths((p for p, _ in stages), self.deploy.root), None)
+            roots = [p for p, _ in stages]
+            escaped = next(escaping_paths(_payload_paths(roots), self.deploy.root), None)
             if escaped is not None:
                 raise InvariantViolation(
                     f"publication payload {escaped} escapes the deploy tree"

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from rade import cli, depgraph, pipeline, recipes
 from rade.cli import main
+from rade.errors import StoreWriteFailure
 from rade.repo import Repository
 from toycorpus import catalog_entries, make_workspace, tick, write_event, write_recipe
 
@@ -328,6 +329,29 @@ def test_unreadable_event_fails_without_traceback(ws, capsys, command, case):
     assert not ws.workdir.exists()
 
 
+RUN_RECORDS = (cli.LAST_RUN_REPORT, cli.PUBLICATION_MANIFEST)
+
+
+def records(ws):
+    """The run record files in the workdir, by name."""
+    return {name: (ws.workdir / name).read_bytes() for name in RUN_RECORDS
+            if (ws.workdir / name).is_file()}
+
+
+def deploy_hello_with(ws, line):
+    """Make hello's deploy script also run ``line`` in its delivered prefix."""
+    (ws.corpus_root / "hello" / "1.0" / "deploy.sh").write_text(
+        "#!/bin/sh\nset -eu\n"
+        'PREFIX="${DEPLOY_PREFIX:-$INSTALL_PREFIX}"\n'
+        'mkdir -p "$PREFIX/bin"\n'
+        'cp "$BUILD_DIR/hello" "$PREFIX/bin/hello"\n'
+        f"{line}\n"
+    )
+
+
+HELLO_PREFIX = "x86_64/linux/sitea/hello/1.0"
+
+
 @pytest.mark.parametrize(
     "target, reason",
     [("missing", "No such file or directory"), ("bad", "Too many levels of symbolic links")],
@@ -336,30 +360,106 @@ def test_unreadable_payload_file_fails_without_traceback(ws, capsys, target, rea
     a = write_event(ws.spool_dir / "a.json", "evt-a", ["hello/1.0/build.sh"])
     assert run_cli("run", "--config", ws.config_path, "--event", a) == 0
     before = (ws.repo_path / "HEAD").read_bytes()
+    recorded = records(ws)
     # a dangling link, or a link to itself, inside the delivered prefix
-    (ws.corpus_root / "hello" / "1.0" / "deploy.sh").write_text(
-        "#!/bin/sh\nset -eu\n"
-        'PREFIX="${DEPLOY_PREFIX:-$INSTALL_PREFIX}"\n'
-        'mkdir -p "$PREFIX/bin"\n'
-        'cp "$BUILD_DIR/hello" "$PREFIX/bin/hello"\n'
-        f'ln -s {target} "$PREFIX/bin/bad"\n'
-    )
+    deploy_hello_with(ws, f'ln -s {target} "$PREFIX/bin/bad"')
     b = write_event(ws.spool_dir / "b.json", "evt-b", ["hello/1.0/deploy.sh"])
     capsys.readouterr()
     assert run_cli("run", "--config", ws.config_path, "--event", b) == 1
-    assert capsys.readouterr().err == (
-        f"error: cannot stage x86_64/linux/sitea/hello/1.0/bin/bad: {reason}\n"
-    )
+    err = capsys.readouterr().err
+    if target == "bad":  # the gate meets the loop before staging would (``reason``)
+        link = ws.deploy_root / HELLO_PREFIX / "bin" / "bad"
+        assert err == f"error: publication payload {link} escapes the deploy tree\n"
+        # nothing is recorded; the run dropped the publication record of the
+        # prefix it rewrote before its first job started
+        assert records(ws) == {cli.LAST_RUN_REPORT: recorded[cli.LAST_RUN_REPORT]}
+    else:
+        assert err == f"error: cannot stage {HELLO_PREFIX}/bin/bad: {reason}\n"
     assert (ws.repo_path / "HEAD").read_bytes() == before
     assert run_cli("verify", "--config", ws.config_path) == 0
+
+
+# kind -> (link in hello's prefix, its target below the workspace root)
+OUTSIDE_LINKS = {"file": ("bin/leak", "outside/s"), "directory": ("lib", "outside")}
+
+
+@pytest.mark.parametrize("kind", sorted(OUTSIDE_LINKS))
+def test_payload_link_out_of_the_deploy_tree_fails_the_run(ws, capsys, kind):
+    a = write_event(ws.spool_dir / "a.json", "evt-a", ["hello/1.0/build.sh"])
+    assert run_cli("run", "--config", ws.config_path, "--event", a) == 0
+    before = (ws.repo_path / "HEAD").read_bytes()
+    secret = b"secret\n"
+    (ws.root / "outside").mkdir()
+    (ws.root / "outside" / "s").write_bytes(secret)
+    name, target = OUTSIDE_LINKS[kind]
+    deploy_hello_with(ws, f'ln -s {ws.root / target} "$PREFIX/{name}"')
+    b = write_event(ws.spool_dir / "b.json", "evt-b", ["hello/1.0/deploy.sh"])
+    capsys.readouterr()
+    assert run_cli("run", "--config", ws.config_path, "--event", b) == 1
+    link = ws.deploy_root / HELLO_PREFIX / name
+    assert capsys.readouterr().err == (
+        f"error: publication payload {link} escapes the deploy tree\n"
+    )
+    assert (ws.repo_path / "HEAD").read_bytes() == before
+    assert not [p for p in ws.repo_path.rglob("*") if p.is_file() and p.read_bytes() == secret]
+
+
+def test_payload_link_inside_the_deploy_tree_publishes_its_target(ws, capsys):
+    deploy_hello_with(ws, 'ln -s hello "$PREFIX/bin/alias"')
+    a = write_event(ws.spool_dir / "a.json", "evt-a", ["hello/1.0/build.sh"])
+    assert run_cli("run", "--config", ws.config_path, "--event", a) == 0
+    repo = Repository.open(ws.repo_path)
+    entries = catalog_entries(repo, repo.read_head())
+    hello, alias = (entries[f"{HELLO_PREFIX}/bin/{n}"] for n in ("hello", "alias"))
+    assert alias.object == hello.object
+    assert repo.object_path(alias.object.sha256).read_bytes() == (
+        ws.deploy_root / HELLO_PREFIX / "bin" / "hello"
+    ).read_bytes()
+
+
+def test_escaping_payload_fails_its_own_event_only(ws, capsys):
+    deploy_hello_with(ws, f'ln -s {ws.root} "$PREFIX/bin/up"')
+    write_event(ws.spool_dir / "b.json", "evt-b", ["hello/1.0/deploy.sh"])
+    write_event(ws.spool_dir / "c.json", "evt-c", ["libdemo/1.0/build.sh"])
+    assert run_cli("run", "--config", ws.config_path, "--event", ws.spool_dir) == 1
+    link = ws.deploy_root / HELLO_PREFIX / "bin" / "up"
+    assert capsys.readouterr().err == (
+        f"error: publication payload {link} escapes the deploy tree\n"
+    )
+    assert Repository.open(ws.repo_path).read_head().job_id == "evt-c"
+    assert sorted(p.name for p in ws.spool_dir.iterdir()) == ["b.json.done", "c.json.done"]
+
+
+def test_full_disk_at_the_run_record_leaves_the_event_pending(ws, capsys, monkeypatch):
+    a = write_event(ws.spool_dir / "a.json", "evt-a", ["hello/1.0/build.sh"])
+    assert run_cli("run", "--config", ws.config_path, "--event", a) == 0
+    before = (ws.workdir / cli.LAST_RUN_REPORT).read_bytes()
+    write_event(ws.spool_dir / "b.json", "evt-b", ["libdemo/1.0/build.sh"])
+    real_open = Path.open
+
+    def open_then_fail(self, mode="r", *args, **kwargs):
+        if "w" in mode and cli.LAST_RUN_REPORT in self.name:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_open(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", open_then_fail)
+    capsys.readouterr()
+    assert run_cli("run", "--config", ws.config_path, "--event", ws.spool_dir) == 1
+    monkeypatch.undo()
+    path = ws.workdir / cli.LAST_RUN_REPORT
+    assert capsys.readouterr().err == (
+        f"error: cannot write {path}: {os.strerror(errno.ENOSPC)}\n"
+    )
+    assert path.read_bytes() == before
+    assert recipes.pending_events(ws.spool_dir) == [ws.spool_dir / "b.json"]
+    assert Repository.open(ws.repo_path).read_head().job_id == "evt-a"
 
 
 @pytest.mark.parametrize("failing", [cli.LAST_RUN_REPORT, cli.PUBLICATION_MANIFEST])
 def test_failed_artifact_write_leaves_the_previous_file_whole(ws, monkeypatch, failing):
     a = write_event(ws.spool_dir / "a.json", "evt-a", ["hello/1.0/build.sh"])
     assert run_cli("run", "--config", ws.config_path, "--event", a) == 0
-    names = (cli.LAST_RUN_REPORT, cli.PUBLICATION_MANIFEST)
-    before = {name: (ws.workdir / name).read_bytes() for name in names}
+    before = records(ws)
     real_open = Path.open
 
     def open_then_fail(self, mode="r", *args, **kwargs):
@@ -371,7 +471,7 @@ def test_failed_artifact_write_leaves_the_previous_file_whole(ws, monkeypatch, f
 
     report = pipeline.RunReport([], pipeline.PublicationRequest("evt-b", ((ws.root, "x"),)))
     monkeypatch.setattr(Path, "open", open_then_fail)
-    with pytest.raises(OSError):
+    with pytest.raises(StoreWriteFailure, match=f"cannot write .*{failing}: "):
         cli._save_run_artifacts(SimpleNamespace(workdir=ws.workdir), report)
     monkeypatch.undo()
     assert (ws.workdir / failing).read_bytes() == before[failing]

@@ -16,7 +16,6 @@ from rade.depgraph import (
 from rade.errors import (
     DependencyCycle,
     UnknownDependency,
-    UnknownNode,
     UnsatisfiableConstraint,
 )
 from rade.recipes import Corpus, Dependency, Recipe, ScriptSet, SourceSpec
@@ -220,11 +219,6 @@ class TestRebuildSet:
     def test_leaf_has_no_dependents(self):
         graph, a, b, c = chain_graph()
         assert rebuild_set(graph, {c}) == {c}
-
-    def test_unknown_node(self):
-        graph, *_ = chain_graph()
-        with pytest.raises(UnknownNode):
-            rebuild_set(graph, {("zz", "1.0")})
 
     def test_matches_reachability_oracle_on_random_dags(self):
         rng = random.Random(0xC0DE)

@@ -162,8 +162,3 @@ class TestDirectives:
     def test_unknown_directive_rejected(self):
         with pytest.raises(InvariantViolation):
             parse_directives("module load foo\n")
-
-
-def test_tree_kind_validated(tmp_path):
-    with pytest.raises(InvariantViolation):
-        EnvTree("staging", tmp_path)

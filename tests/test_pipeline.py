@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import json
 import tempfile
 import threading
 import time
@@ -260,6 +261,41 @@ class TestRunPlan:
         assert "not delivered" in states["app"].reason
         assert report.publication is None
         assert "RESULT fail" in report.render()
+
+    @pytest.mark.parametrize(
+        "case, phase, reason",
+        [
+            ("https_source", "build", "unsupported source url scheme: https://example.invalid/l.tgz"),
+            ("missing_bundle", "build", "source bundle missing: {bundle}"),
+            ("integration_install", "test", "integration install exited 3"),
+        ],
+    )
+    def test_phase_error_fails_the_job_there_and_skips_dependents(
+        self, small_ws, case, phase, reason
+    ):
+        recipe_dir = small_ws.corpus_root / "libdemo" / "1.0"
+        bundle = small_ws.sources_dir / "libdemo-1.0.tar.gz"
+        if case == "https_source":  # SourceUnavailable: a scheme no fetch supports
+            manifest = recipe_dir / "rade.json"
+            doc = json.loads(manifest.read_text())
+            doc["source"]["url"] = "https://example.invalid/l.tgz"
+            manifest.write_text(json.dumps(doc))
+        elif case == "missing_bundle":  # SourceUnavailable: no file behind file://
+            bundle.unlink()
+        else:  # InstallFailed: the deploy script fails in the integration tree only
+            deploy = recipe_dir / "deploy.sh"
+            deploy.write_text(deploy.read_text().replace(
+                "set -eu\n", 'set -eu\nif [ -n "${INSTALL_PREFIX:-}" ]; then exit 3; fi\n'
+            ))
+        config, corpus, graph, runner = make_runner(small_ws)
+        report = runner.run_plan(plan(EVENT_LIBDEMO, corpus, graph, config.matrix), 1)
+        libdemo, app = report.outcomes
+        assert (libdemo.state, libdemo.failed_phase) == (FAILED, phase)
+        assert libdemo.reason == reason.format(bundle=bundle)
+        assert libdemo.log_path.read_text().endswith(f"error: {libdemo.reason}\n")
+        assert app.state == PENDING
+        assert app.reason == "dependency libdemo/1.0 not delivered"
+        assert report.publication is None
 
     def test_full_success_emits_single_publication(self, small_ws):
         config, corpus, graph, runner = make_runner(small_ws)
