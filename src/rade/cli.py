@@ -18,6 +18,7 @@ from .envtree import DEPLOY, INTEGRATION, EnvTree
 from .errors import (
     ConfigError,
     InvariantViolation,
+    PathCollision,
     RadeError,
     SchemaViolation,
     StoreWriteFailure,
@@ -106,7 +107,11 @@ def _run_one_event(config, runner, corpus, graph, event) -> int:
     _save_run_artifacts(config, report)
     print(report.render(), end="")
     if report.publication is not None:
-        head = _publish(config, report.publication)
+        try:
+            head = _publish(config, report.publication)
+        except (InvariantViolation, PathCollision) as exc:  # a payload fault, as above
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_JOB_FAILURE
         print(f"published revision {head.revision} (job {head.job_id})")
         return EXIT_OK
     if not build_plan.jobs:

@@ -9,7 +9,18 @@ On-disk layout:
                         drops the lock when its holder exits or dies
       .revision         ASCII decimal + newline, readable without tooling
       objects/ab/cd...  deduplicated content objects named by sha256
+      objects/.stage.*.tmp  an open transaction's pending objects
       catalogs/ab/cd... canonical catalog documents, also content-addressed
+
+Staging reads each payload file once: it hashes the bytes and, unless their
+object is stored or pending already, writes them to a temporary under
+``objects/`` as it goes. A file of more than one chunk is first compared
+byte for byte with the last pending object of its size, so such a duplicate
+within a transaction is neither hashed nor written. Publish only renames the
+pending temporaries into place before it writes the catalog; an abort
+removes them, and the next transaction sweeps those a killed writer left. A
+payload that cannot be read fails with InvariantViolation, a store that
+cannot be written with StoreWriteFailure.
 
 A catalog is line-oriented UTF-8 text, one ``path<TAB>mode<TAB>sha256<TAB>size``
 line per entry sorted bytewise by path. Every published catalog carries a
@@ -26,14 +37,17 @@ from __future__ import annotations
 import fcntl
 import hashlib
 import os
+import stat
 import time
 import uuid
 from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import (
     CorruptHead,
+    InvariantViolation,
     PathCollision,
     RadeError,
     StoreWriteFailure,
@@ -112,6 +126,30 @@ def copy_verified(
         tmp.unlink(missing_ok=True)  # already gone once replaced
 
 
+def _unstageable(repo_path: str, reason: str) -> InvariantViolation:
+    return InvariantViolation(f"cannot stage {repo_path}: {reason}")
+
+
+def _payload_chunks(fh, repo_path: str) -> Iterator[bytes]:
+    """The bytes of the open payload file ``fh`` from its start, in
+    CHUNK_SIZE pieces; a read that fails is the payload's fault."""
+    try:
+        fh.seek(0)
+        while chunk := fh.read(CHUNK_SIZE):
+            yield chunk
+    except OSError as exc:
+        raise _unstageable(repo_path, exc.strerror) from exc
+
+
+def _same_bytes(chunks: Iterator[bytes], path: str) -> bool:
+    """Whether ``chunks`` hold exactly the bytes of the file at ``path``."""
+    with open(path, "rb") as fh:
+        for chunk in chunks:
+            if fh.read(len(chunk)) != chunk:
+                return False
+        return not fh.read(1)
+
+
 class Store:
     """A directory of blobs, each named by its sha256 as ``ab/cdef...`` and
     written once, through a ``.tmp`` temporary that :meth:`hash_all` skips."""
@@ -138,6 +176,48 @@ class Store:
         except FileNotFoundError:
             dest.parent.mkdir(parents=True, exist_ok=True)
             return copy_verified(source, dest, sha, mode)
+
+    def put_pending(self, chunks: Iterator[bytes], pending: dict[str, str]) -> tuple[str, int]:
+        """Hash the byte ``chunks`` of one file, writing them to a new
+        temporary under the store root as they are hashed, and return their
+        digest and size. The temporary goes into ``pending`` under the digest
+        unless that blob is stored or pending already, in which case it is
+        removed; :meth:`adopt` later renames it into place. A file of one
+        chunk is hashed from memory and written only if its blob is new."""
+        first = next(chunks, b"")
+        rest = next(chunks, None)
+        digest = hashlib.sha256(first)
+        size = len(first)
+        tmp = None
+        try:
+            if rest is not None:  # more than one chunk: written as it is hashed
+                tmp = _temporary(self.root / "stage")
+                with open(tmp, "wb") as out:
+                    out.write(first)
+                    while rest is not None:
+                        digest.update(rest)
+                        out.write(rest)
+                        size += len(rest)
+                        rest = next(chunks, None)
+            sha = digest.hexdigest()
+            if sha in pending or self.path(sha).exists():
+                return sha, size
+            if tmp is None:  # one chunk, of a new blob
+                tmp = _temporary(self.root / "stage")
+                with open(tmp, "wb") as out:
+                    out.write(first)
+            pending[sha] = str(tmp)
+            tmp = None
+            return sha, size
+        finally:
+            if tmp is not None:
+                tmp.unlink(missing_ok=True)
+
+    def adopt(self, sha: str, tmp: str) -> None:
+        """Rename the temporary ``tmp``, which holds blob ``sha``, into place."""
+        dest = self.path(sha)
+        dest.parent.mkdir(exist_ok=True)
+        os.replace(tmp, dest)
 
     def hash_all(self, report: VerifyReport) -> dict[tuple[int, int], str]:
         """Hash every blob but a ``.tmp`` temporary. Each counts in
@@ -220,7 +300,6 @@ class _StagedFile:
     mode: str
     sha256: str
     size: int
-    source: Path
 
 
 @dataclass
@@ -230,14 +309,26 @@ class Transaction:
     head: RepoHead  # read under the lock, so it stays HEAD until this publishes
     base: list[bytes]  # the head catalog's lines when the transaction began
     staged: dict[str, _StagedFile] = field(default_factory=dict)
+    # sha -> temporary under objects/ holding a new object, until publish
+    # renames it into place; none of them exists at its object path before
+    pending: dict[str, str] = field(default_factory=dict)
+    # size -> sha of the last multi-chunk object of that size made pending
+    last_of_size: dict[int, str] = field(default_factory=dict)
     prefixes: set[str] = field(default_factory=set)
     state: str = "open"
 
     def close(self, state: str) -> None:
-        """End the transaction as ``state`` and release the writer lock. The
-        ``lock`` file stays: unlinking it would let two writers lock two files."""
+        """End the transaction as ``state``, remove the temporaries still
+        pending and release the writer lock. The ``lock`` file stays:
+        unlinking it would let two writers lock two files."""
         self.state = state
         self.staged.clear()
+        for tmp in self.pending.values():
+            try:
+                os.unlink(tmp)
+            except OSError:  # the next transaction sweeps it
+                pass
+        self.pending.clear()
         os.close(self.lock_fd)
 
 
@@ -376,7 +467,8 @@ class Repository:
         Waits up to ``wait_s`` for a competing writer before raising
         TransactionInProgress. The lock is an flock on the ``lock`` file, so a
         writer that died holds none, whatever the file says. A root
-        ``.revision`` that disagrees with HEAD is rewritten.
+        ``.revision`` that disagrees with HEAD is rewritten, and the
+        temporaries a writer that died left are removed.
         """
         fd = os.open(self.lock_path, os.O_CREAT | os.O_WRONLY, 0o644)
         deadline = time.monotonic() + wait_s
@@ -400,10 +492,25 @@ class Repository:
                 current = None
             if current != rev_data:  # a publish failed to write it after HEAD
                 self._write_revision(rev_data)
+            self._sweep_temporaries()
         except BaseException:
             os.close(fd)
             raise
         return Transaction(id=f"tx-{uuid.uuid4().hex[:12]}", lock_fd=fd, head=head, base=base)
+
+    def _sweep_temporaries(self) -> None:
+        """Remove every ``.tmp`` name in ``objects/`` and the repository root:
+        only the lock holder writes there, so under the lock each is left by
+        a writer that died, such as a killed stage's pending objects. The
+        shard directories are not listed, since that would cost time that
+        grows with the store."""
+        for folder in (self.objects.root, self.path):
+            try:
+                for name in os.listdir(folder):
+                    if name.endswith(".tmp"):
+                        os.unlink(folder / name)
+            except OSError:  # left for the next transaction
+                pass
 
     def abort(self, tx: Transaction) -> None:
         if tx.state == "open":
@@ -415,7 +522,11 @@ class Repository:
         On publish the staged trees replace whatever the previous catalog
         held under their prefixes. Executables keep their permission bit.
         Restaging identical content is idempotent; different content at an
-        already-staged path is a PathCollision.
+        already-staged path is a PathCollision. Each file's new bytes are
+        written here, as pending objects (see :meth:`_put`). A file that
+        cannot be read, or a symlink to a directory inside the tree, is an
+        InvariantViolation; a temporary that cannot be written is a
+        StoreWriteFailure.
         """
         if tx.state != "open":
             raise TransactionInProgress(f"transaction {tx.id} is {tx.state}")
@@ -433,25 +544,56 @@ class Repository:
             if repo_path == REVISION_FILE:
                 raise PathCollision(f"{REVISION_FILE} is maintained by publish")
             try:
-                if fs_path.is_dir():
+                st = os.stat(fs_path)
+                if stat.S_ISDIR(st.st_mode):
+                    # rglob does not descend into a link, and the frozen
+                    # catalog format has no link type to publish it as
+                    if fs_path.is_symlink():
+                        raise _unstageable(repo_path, "symlink to a directory")
                     if not any(fs_path.iterdir()):
-                        tx.staged[repo_path] = _StagedFile(DIRECTORY, "", 0, fs_path)
+                        tx.staged[repo_path] = _StagedFile(DIRECTORY, "", 0)
                         count += 1
                     continue
-                sha, size = hash_file(fs_path)
             except OSError as exc:  # e.g. a dangling symlink or a symlink loop
-                raise StoreWriteFailure(f"cannot stage {repo_path}: {exc.strerror}") from exc
+                raise _unstageable(repo_path, exc.strerror) from exc
+            sha, size = self._put(tx, fs_path, st.st_size, repo_path)
             mode = EXECUTABLE if os.access(fs_path, os.X_OK) else FILE
             previous = tx.staged.get(repo_path)
             if previous is not None and previous.sha256 != sha:
                 raise PathCollision(f"{repo_path} staged twice with different content")
-            tx.staged[repo_path] = _StagedFile(mode, sha, size, fs_path)
+            tx.staged[repo_path] = _StagedFile(mode, sha, size)
             count += 1
         tx.prefixes.add(prefix)
         return count
 
+    def _put(self, tx: Transaction, path: Path, size: int, repo_path: str) -> tuple[str, int]:
+        """Hash the payload file ``path``, leaving its bytes pending in
+        ``objects/`` if they are new, and return their digest and size. A
+        file of more than one chunk is first compared with the last pending
+        object of its ``size`` (as the file was stat-ed); if they are equal,
+        it is neither hashed nor written. Comparing every same-size candidate
+        would cost time quadratic in the files of one size."""
+        try:
+            src = open(path, "rb")
+        except OSError as exc:
+            raise _unstageable(repo_path, exc.strerror) from exc
+        with src:
+            try:
+                twin = tx.last_of_size.get(size) if size > CHUNK_SIZE else None
+                if twin in tx.pending and _same_bytes(
+                    _payload_chunks(src, repo_path), tx.pending[twin]
+                ):
+                    return twin, size
+                sha, size = self.objects.put_pending(_payload_chunks(src, repo_path), tx.pending)
+            except OSError as exc:  # reading the payload raises InvariantViolation
+                raise StoreWriteFailure(f"cannot store {repo_path}: {exc.strerror}") from exc
+        if size > CHUNK_SIZE and sha in tx.pending:
+            tx.last_of_size[size] = sha
+        return sha, size
+
     def publish(self, tx: Transaction, job_id: str) -> RepoHead:
-        """Write objects and catalog, bump the revision, and swap HEAD.
+        """Rename the pending objects into place, write the catalog, bump
+        the revision, and swap HEAD.
 
         The new catalog is the base's lines with every path under a staged
         prefix dropped, merged with the staged lines and the new ``.revision``
@@ -476,9 +618,9 @@ class Repository:
         catalog_sha = sha256_hex(data)
 
         try:
-            for s in tx.staged.values():
-                if s.mode != DIRECTORY and self.objects.put_copy(s.source, s.sha256) is None:
-                    raise StoreWriteFailure(f"{s.source} changed since staging")
+            for sha, tmp in list(tx.pending.items()):
+                self.objects.adopt(sha, tmp)
+                del tx.pending[sha]  # only once renamed, so a retry renames the rest
             self.catalogs.put_bytes(catalog_sha, data)
             write_atomic(self.head_path, f"{catalog_sha} {revision} {job_id}\n".encode("utf-8"))
         except OSError as exc:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rade import cli, depgraph, pipeline, recipes
+from rade import repo as repo_mod
 from rade.cli import main
 from rade.errors import StoreWriteFailure
 from rade.repo import Repository
@@ -428,6 +429,44 @@ def test_escaping_payload_fails_its_own_event_only(ws, capsys):
     )
     assert Repository.open(ws.repo_path).read_head().job_id == "evt-c"
     assert sorted(p.name for p in ws.spool_dir.iterdir()) == ["b.json.done", "c.json.done"]
+
+
+def test_unstageable_payload_fails_its_own_event_only(ws, capsys):
+    deploy_hello_with(ws, 'ln -s missing "$PREFIX/bin/bad"')
+    write_event(ws.spool_dir / "b.json", "evt-b", ["hello/1.0/deploy.sh"])
+    write_event(ws.spool_dir / "c.json", "evt-c", ["libdemo/1.0/build.sh"])
+    assert run_cli("run", "--config", ws.config_path, "--event", ws.spool_dir) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot stage {HELLO_PREFIX}/bin/bad: No such file or directory\n"
+    )
+    assert Repository.open(ws.repo_path).read_head().job_id == "evt-c"
+    assert sorted(p.name for p in ws.spool_dir.iterdir()) == ["b.json.done", "c.json.done"]
+    assert not [p for p in ws.repo_path.rglob("*") if p.name.endswith(".tmp")]
+
+
+def test_full_disk_at_staging_leaves_the_event_pending(ws, capsys, monkeypatch):
+    a = write_event(ws.spool_dir / "a.json", "evt-a", ["hello/1.0/build.sh"])
+    assert run_cli("run", "--config", ws.config_path, "--event", a) == 0
+    before = (ws.repo_path / "HEAD").read_bytes()
+    deploy_hello_with(ws, 'echo new > "$PREFIX/bin/note"')  # a new object to store
+    write_event(ws.spool_dir / "b.json", "evt-b", ["hello/1.0/deploy.sh"])
+
+    def open_then_fail(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        if "w" in mode and str(file).endswith(".tmp"):  # a pending object, then the disk fills
+            fh.close()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return fh
+
+    monkeypatch.setattr(repo_mod, "open", open_then_fail, raising=False)
+    capsys.readouterr()
+    assert run_cli("run", "--config", ws.config_path, "--event", ws.spool_dir) == 1
+    monkeypatch.undo()
+    assert capsys.readouterr().err.startswith("error: cannot store ")
+    assert recipes.pending_events(ws.spool_dir) == [ws.spool_dir / "b.json"]
+    assert (ws.repo_path / "HEAD").read_bytes() == before
+    assert not [p for p in ws.repo_path.rglob("*") if p.name.endswith(".tmp")]
+    assert run_cli("verify", "--config", ws.config_path) == 0
 
 
 def test_full_disk_at_the_run_record_leaves_the_event_pending(ws, capsys, monkeypatch):

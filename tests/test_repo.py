@@ -1,17 +1,22 @@
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rade
 from rade import repo as repo_mod
 from rade.errors import (
     CorruptHead,
+    InvariantViolation,
     PathCollision,
     StoreWriteFailure,
     TransactionInProgress,
@@ -23,6 +28,7 @@ from rade.repo import (
     Repository,
     Store,
     entry_line,
+    hash_file,
     parse_line,
     sha256_hex,
 )
@@ -136,6 +142,34 @@ class TestTransactions:
         tx = repo.begin_transaction(wait_s=0)
         repo.abort(tx)
 
+    def test_begin_sweeps_the_temporaries_of_a_killed_writer(self, repo, tmp_path):
+        make_tree(tmp_path / "t", {"small": "s", "big": "b" * (CHUNK_SIZE + 1)})
+        stage = (
+            "import sys, time\n"
+            "from rade.repo import Repository\n"
+            "repo = Repository(sys.argv[1])\n"
+            "tx = repo.begin_transaction()\n"
+            "repo.stage(tx, sys.argv[2], 'apps')\n"
+            "print(len(tx.pending), flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(rade.__file__).parents[1])}
+        writer = subprocess.Popen(
+            [sys.executable, "-c", stage, str(repo.path), str(tmp_path / "t")],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            assert writer.stdout.readline() == "2\n"
+        finally:
+            writer.kill()  # SIGKILL between stage and publish
+            writer.wait(timeout=10)
+            writer.stdout.close()
+        (repo.path / ".HEAD.0123abcd.tmp").write_text("half written")  # a killed HEAD swap
+        assert len(temporaries(repo)) == 3
+        repo.abort(repo.begin_transaction(wait_s=0))
+        assert temporaries(repo) == []
+        assert repo.verify().ok
+
     def test_publish_takes_the_head_read_under_the_lock(self, repo, tmp_path, monkeypatch):
         tree = make_tree(tmp_path / "t", {"a": "content"})
         tx = repo.begin_transaction()
@@ -197,6 +231,17 @@ class TestStaging:
             with pytest.raises(PathCollision):
                 repo.stage(tx, f, bad)
         repo.abort(tx)
+
+    def test_symlinked_directory_inside_a_prefix_fails(self, repo, tmp_path):
+        deploy = make_tree(tmp_path / "deploy", {"p/bin/b": "b", "q/lib/l": "l"})
+        (deploy / "p" / "lib").symlink_to("../q/lib")
+        tx = repo.begin_transaction()
+        with pytest.raises(InvariantViolation) as exc:
+            repo.stage(tx, deploy / "p", "a/p")
+        assert str(exc.value) == "cannot stage a/p/lib: symlink to a directory"
+        assert temporaries(repo) != []  # bin/b was staged before the link
+        repo.abort(tx)
+        assert temporaries(repo) == []
 
 
 class TestPublish:
@@ -389,21 +434,19 @@ class TestStoreFailure:
         assert head.revision == before.revision + 1
 
 
-    def test_source_changed_since_staging_is_not_stored(self, repo, tmp_path):
+    def test_source_rewritten_after_staging_publishes_the_staged_bytes(self, repo, tmp_path):
         big = b"a" * (CHUNK_SIZE + 1)
         tree = tmp_path / "t"
         tree.mkdir()
         (tree / "f").write_bytes(big)
         tx = repo.begin_transaction()
         repo.stage(tx, tree, "apps")
-        before = repo.read_head()
         (tree / "f").write_bytes(big[:-1] + b"b")
-        with pytest.raises(StoreWriteFailure, match="changed since staging"):
-            repo.publish(tx, "job-x")
-        assert repo.read_head() == before
-        assert tx.state == "open"
-        assert [p for p in repo.objects.root.rglob("*") if p.is_file()] == []
-        repo.abort(tx)
+        head = repo.publish(tx, "job-x")
+        ref = catalog_entries(repo, head)["apps/f"].object
+        assert ref == ObjectRef(sha256_hex(big), len(big))
+        assert sha256_hex(repo.object_path(ref.sha256).read_bytes()) == ref.sha256
+        assert repo.verify().ok
 
 
 class TestStore:
@@ -498,12 +541,14 @@ def test_fault_at_every_replace_of_a_publish(tmp_path, monkeypatch):
         seen = repo.read_head()
         assert root_revision(repo) <= seen.revision
         assert repo.verify().ok, repo.verify().problems()
-        assert temporaries(repo) == []
         if head is None:
             assert tx.state == "open"
+            # the objects not yet renamed stay pending, for the retry
+            assert sorted(map(str, temporaries(repo))) == sorted(tx.pending.values())
             head = repo.publish(tx, "job-2")  # a retry under the same lock
             assert seen in (before, head)
         else:  # the fault came after the commit point
+            assert temporaries(repo) == []
             assert k == len(calls) and seen == head
             repo.abort(repo.begin_transaction())
         assert head.revision == before.revision + 1
@@ -512,6 +557,89 @@ def test_fault_at_every_replace_of_a_publish(tmp_path, monkeypatch):
         assert temporaries(repo) == []
     # the objects of a2 and c2, the catalog, HEAD and .revision
     assert k == 6
+
+
+# sizes around the chunk boundary: empty, within one chunk, exactly one, and more
+PAYLOAD_SIZES = (0, 1, 100, CHUNK_SIZE, CHUNK_SIZE + 1, 2 * CHUNK_SIZE + 7)
+
+
+def payload(size: int, seed: int, last: int) -> bytes:
+    """``size`` seeded bytes, the last of them replaced by ``last``: payloads
+    of one size and seed differ only in their last byte."""
+    data = random.Random(seed).randbytes(size)
+    return data[:-1] + bytes([last]) if data else data
+
+
+tree_st = st.dictionaries(
+    st.sampled_from(["a", "b", "c", "d/e", "d/f", "g/h/i"]),
+    st.tuples(st.sampled_from(PAYLOAD_SIZES), st.integers(0, 1), st.integers(0, 1)),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.lists(st.tuples(tree_st, st.booleans()), min_size=1, max_size=3))
+def test_staged_catalog_equals_the_hashes_of_the_files(transactions):
+    """Each transaction stages a tree at ``apps`` and, if asked, again at
+    ``copy``, so that every file has a duplicate in it; files of one size may
+    differ only in their last byte, and later transactions find objects
+    stored. The published catalog is what ``hash_file`` says of the files."""
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        repo = Repository.init(root / "repo")
+        oracle = {}
+        for n, (files, copy) in enumerate(transactions):
+            tree = make_tree(root / f"t{n}", {})
+            for rel, spec in files.items():
+                (tree / rel).parent.mkdir(parents=True, exist_ok=True)
+                (tree / rel).write_bytes(payload(*spec))
+            prefixes = ["apps", "copy"] if copy else ["apps"]
+            oracle = {p: e for p, e in oracle.items() if p.split("/")[0] not in prefixes}
+            tx = repo.begin_transaction()
+            for prefix in prefixes:
+                repo.stage(tx, tree, prefix)
+                for rel in files:
+                    ref = ObjectRef(*hash_file(tree / rel))
+                    oracle[f"{prefix}/{rel}"] = CatalogEntry(f"{prefix}/{rel}", "file", ref)
+            head = repo.publish(tx, f"job-{n}")
+            entries = catalog_entries(repo, head)
+            del entries[".revision"]
+            assert entries == oracle
+            assert temporaries(repo) == []
+        for entry in oracle.values():
+            data = repo.object_path(entry.object.sha256).read_bytes()
+            assert ObjectRef(sha256_hex(data), len(data)) == entry.object
+        assert repo.verify().ok
+
+
+def io_counts() -> tuple[int, int]:
+    """Bytes this process has read and written through system calls."""
+    fields = dict(line.split(": ") for line in Path("/proc/self/io").read_text().splitlines())
+    return int(fields["rchar"]), int(fields["wchar"])
+
+
+@pytest.mark.skipif(not Path("/proc/self/io").is_file(), reason="needs /proc/self/io")
+def test_each_new_byte_is_hashed_and_written_once(repo, tmp_path):
+    size = 3 * CHUNK_SIZE + 5
+    same, other = random.Random(1).randbytes(size), random.Random(2).randbytes(size)
+    tree = tmp_path / "t"
+    tree.mkdir()
+    for name, data in (("a1", same), ("a2", same), ("c", other)):
+        (tree / name).write_bytes(data)
+    slack = 16 << 10  # HEAD, the catalog and .revision
+    tx = repo.begin_transaction()
+    read0, written0 = io_counts()
+    repo.stage(tx, tree, "apps")
+    head = repo.publish(tx, "job-1")
+    read1, written1 = io_counts()
+    assert len({e.object for p, e in catalog_entries(repo, head).items() if p != ".revision"}) == 2
+    # the two new objects, each written once; a2 is no third write
+    assert 2 * size <= written1 - written0 <= 2 * size + slack
+    # a1 and c are read once, by the hash; a2 and a1's pending copy once, by
+    # the comparison that finds them equal; and the first chunk of c and of
+    # that copy by the one that does not. Publish reads no payload again.
+    assert read1 - read0 <= 4 * size + 2 * CHUNK_SIZE + slack
 
 
 class TestCanonicalCatalog:
