@@ -7,6 +7,8 @@ the site client's small interpreter) can activate it.
 from __future__ import annotations
 
 import os
+import select
+import subprocess
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -110,6 +112,35 @@ def script_argv(script: Path) -> list[str]:
     """Start a phase script or researcher test itself when it has an exec
     bit, else through ``/bin/sh``."""
     return [str(script)] if os.access(script, os.X_OK) else ["/bin/sh", str(script)]
+
+
+def run_script(argv, env, cwd, timeout_s, stdout, stderr) -> int | None:
+    """Run ``argv`` and return its exit status, or kill it and return None
+    once it has run for ``timeout_s`` seconds.
+
+    The wait is a ``poll`` on the child's pidfd (Linux >= 5.3), so the exit
+    is seen as it happens; ``subprocess.run(timeout=...)`` would see it only
+    at its next ``waitpid`` after a growing sleep. The child is reaped on
+    every path, including an error from ``pidfd_open`` or from the wait.
+    """
+    proc = subprocess.Popen(argv, stdout=stdout, stderr=stderr, env=env, cwd=cwd)
+    try:
+        pidfd = os.pidfd_open(proc.pid)
+        try:
+            poller = select.poll()
+            poller.register(pidfd, select.POLLIN)
+            exited = bool(poller.poll(timeout_s * 1000))
+        finally:
+            os.close(pidfd)
+    except BaseException:
+        proc.kill()
+        proc.wait()
+        raise
+    if exited:
+        return proc.wait()
+    proc.kill()
+    proc.wait()
+    return None
 
 
 # The three directive forms the rendered template can contain; the site client

@@ -30,6 +30,7 @@ from .envtree import (
     parse_directives,
     prefix_for,
     prefix_rel,
+    run_script,
     script_argv,
     write_modulefile,
 )
@@ -320,19 +321,13 @@ class JobRunner:
         with open(job.log_path, "a", encoding="utf-8") as fh:
             fh.write(f"$ {script}\n")
             fh.flush()
-            try:
-                proc = subprocess.run(
-                    script_argv(script),
-                    stdout=fh,
-                    stderr=subprocess.STDOUT,
-                    env=env,
-                    cwd=cwd,
-                    timeout=self.phase_timeout_s,
-                )
-            except subprocess.TimeoutExpired:
+            rc = run_script(
+                script_argv(script), env, cwd, self.phase_timeout_s, fh, subprocess.STDOUT
+            )
+            if rc is None:
                 fh.write(f"timeout after {self.phase_timeout_s}s\n")
                 return 124
-            return proc.returncode
+            return rc
 
     def _log_line(self, job: Job, text: str) -> None:
         with open(job.log_path, "a", encoding="utf-8") as fh:

@@ -36,7 +36,7 @@ log = logging.getLogger(__name__)
 
 MANIFEST_NAME = "rade.json"
 INDEX_NAME = "corpus-index.json"  # kept in the orchestrator's workdir
-INDEX_FORMAT = "rade-corpus-index/3"
+INDEX_FORMAT = "rade-corpus-index/4"
 
 _NAME_RE = re.compile(r"[a-z0-9][a-z0-9._-]*\Z")
 # a version names a directory in every prefix, build, source and log path;

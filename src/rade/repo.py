@@ -524,7 +524,8 @@ class Repository:
         Restaging identical content is idempotent; different content at an
         already-staged path is a PathCollision. Each file's new bytes are
         written here, as pending objects (see :meth:`_put`). A file that
-        cannot be read, or a symlink to a directory inside the tree, is an
+        cannot be read, anything but a regular file or a directory (such as
+        a FIFO), or a symlink to a directory inside the tree, is an
         InvariantViolation; a temporary that cannot be written is a
         StoreWriteFailure.
         """
@@ -556,6 +557,8 @@ class Repository:
                     continue
             except OSError as exc:  # e.g. a dangling symlink or a symlink loop
                 raise _unstageable(repo_path, exc.strerror) from exc
+            if not stat.S_ISREG(st.st_mode):  # opening a FIFO would block
+                raise _unstageable(repo_path, "not a regular file")
             sha, size = self._put(tx, fs_path, st.st_size, repo_path)
             mode = EXECUTABLE if os.access(fs_path, os.X_OK) else FILE
             previous = tx.staged.get(repo_path)

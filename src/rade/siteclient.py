@@ -7,10 +7,11 @@ modulefiles contain; it is deliberately not a general modulefile interpreter.
 """
 from __future__ import annotations
 
+import io
 import os
 import shutil
 import stat
-import subprocess
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,6 +23,7 @@ from .envtree import (
     modulefile_rel,
     parse_directives,
     prefix_rel,
+    run_script,
     script_argv,
 )
 from .errors import IntegrityError, InvariantViolation, NotDelivered, RadeError
@@ -418,18 +420,14 @@ class SiteCache:
         tests_run = 0
         for rel in recipe.researcher_tests:
             script = Path(recipe_dir) / rel
-            proc = subprocess.run(
-                script_argv(script),
-                capture_output=True,
-                text=True,
-                env=env,
-                cwd=recipe_dir,
-                timeout=timeout_s,
-            )
+            with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+                rc = run_script(script_argv(script), env, recipe_dir, timeout_s, out, err)
+                chunks.append(f"$ {rel}\n{_text(out)}{_text(err)}")
             tests_run += 1
-            chunks.append(f"$ {rel}\n{proc.stdout}{proc.stderr}")
-            if proc.returncode != 0:
-                chunks.append(f"exited {proc.returncode}\n")
+            if rc != 0:
+                chunks.append(
+                    f"timeout after {timeout_s}s\n" if rc is None else f"exited {rc}\n"
+                )
                 passed = False
                 break
         return MveReport(
@@ -438,6 +436,15 @@ class SiteCache:
             tests_run=tests_run,
             output="".join(chunks),
         )
+
+
+def _text(fh) -> str:
+    """What a researcher test wrote to the file ``fh``, read from its start
+    as UTF-8 with universal newlines; an undecodable byte becomes U+FFFD.
+    Closes ``fh``."""
+    fh.seek(0)
+    with io.TextIOWrapper(fh, encoding="utf-8", errors="replace") as text:
+        return text.read()
 
 
 def _parents(path: str):

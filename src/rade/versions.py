@@ -1,13 +1,14 @@
 """Version ordering and constraint grammar for recipe dependencies.
 
-Versions are compared component-wise after splitting on ``.``: when both
-components are all digits they compare numerically (of any length, without
-converting them to ``int``), otherwise as plain strings; the shorter version is
-padded with ``"0"`` components.
+Versions are compared component-wise after splitting on ``.``, the shorter
+version padded with ``"0"`` components. An all-digit component compares
+numerically (of any length, without converting it to ``int``) and sorts below
+every other component; two other components compare as plain strings. This is
+a total order: :func:`version_key` maps each version to a tuple that sorts in
+it, and versions with equal keys, such as ``"1.0"`` and ``"1.0.0"``, are equal.
 """
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 
@@ -19,37 +20,38 @@ EXACT = "exact"
 AT_LEAST = "at-least"
 RANGE = "range"
 
+# the key of a padding "0" component, which sorts below every other key
+_ZERO = (0, (0, ""))
+
 
 def _numeric_key(digits: str) -> tuple[int, str]:
     digits = digits.lstrip("0")
     return (len(digits), digits)
 
 
-def _compare_component(a: str, b: str) -> int:
-    if _ALL_DIGITS.match(a) and _ALL_DIGITS.match(b):
-        a, b = _numeric_key(a), _numeric_key(b)
-    return (a > b) - (a < b)
+def _component_key(part: str) -> tuple:
+    return (0, _numeric_key(part)) if _ALL_DIGITS.match(part) else (1, part)
+
+
+def version_key(version: str) -> tuple:
+    """The sort key of a dotted version: its component keys, without the
+    trailing zero components that padding would add or match."""
+    keys = [_component_key(part) for part in version.split(".")]
+    while keys and keys[-1] == _ZERO:
+        keys.pop()
+    return tuple(keys)
 
 
 def version_cmp(a: str, b: str) -> int:
     """Three-way comparison of two dotted version strings."""
-    pa = a.split(".")
-    pb = b.split(".")
-    width = max(len(pa), len(pb))
-    pa += ["0"] * (width - len(pa))
-    pb += ["0"] * (width - len(pb))
-    for ca, cb in zip(pa, pb):
-        c = _compare_component(ca, cb)
-        if c != 0:
-            return c
-    return 0
-
-
-version_key = functools.cmp_to_key(version_cmp)
+    ka, kb = version_key(a), version_key(b)
+    return (ka > kb) - (ka < kb)
 
 
 def max_version(versions) -> str:
-    return max(versions, key=version_key)
+    """The greatest of ``versions``; of equal ones, the greatest string, so
+    the result does not depend on their order."""
+    return max(versions, key=lambda v: (version_key(v), v))
 
 
 @dataclass(frozen=True)

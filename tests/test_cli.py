@@ -691,6 +691,26 @@ class TestSyncAndMve:
         assert mve(fresh) == 0
         assert "MVE pass" in capsys.readouterr().out
 
+    def test_mve_timeout_fails_without_traceback(self, tmp_path, capsys):
+        ws = make_workspace(tmp_path, phase_timeout_s=1)
+        event = write_event(ws.spool_dir / "e.json", "evt", ["hello/1.0/build.sh"])
+        assert run_cli("run", "--config", ws.config_path, "--event", event) == 0
+        cache = ws.root / "cache"
+        assert run_cli("sync", "--repo", ws.repo_path, "--cache", cache) == 0
+        (ws.corpus_root / "hello" / "1.0" / "tests" / "mve.sh").write_text(
+            "#!/bin/sh\nsleep 3\n"
+        )
+        capsys.readouterr()
+        rc = run_cli(
+            "mve", "hello/1.0", "--config", ws.config_path,
+            "--target", "x86_64-linux-sitea", "--cache", cache,
+        )
+        assert rc == 1
+        assert capsys.readouterr().out == (
+            "$ tests/mve.sh\ntimeout after 1s\n"
+            "MVE fail: hello/1.0 on x86_64-linux-sitea at revision 1\n"
+        )
+
     def test_unreadable_site_head_is_never_synced(self, ws, capsys):
         event = write_event(ws.spool_dir / "e.json", "evt", ["hello/1.0/build.sh"])
         run_cli("run", "--config", ws.config_path, "--event", event)

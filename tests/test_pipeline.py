@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import collections
+import errno
 import itertools
 import json
+import os
+import signal
+import subprocess
 import tempfile
 import threading
 import time
@@ -571,16 +575,55 @@ class TestEnvironment:
 
     def test_phase_timeout_fails_the_phase(self, tmp_path):
         ws = make_workspace(tmp_path, phase_timeout_s=1)
+        pid_file = tmp_path / "pid"
         (ws.corpus_root / "hello" / "1.0" / "build.sh").write_text(
-            "#!/bin/sh\nsleep 5\n"
+            f"#!/bin/sh\necho $$ > {pid_file}\nsleep 5\n"
         )
         config, corpus, graph, runner = make_runner(ws)
         build_plan = plan(EVENT_HELLO, corpus, graph, config.matrix)
         job = first_job(runner, build_plan)
-        with pytest.raises(BuildFailed):
+        with pytest.raises(BuildFailed) as exc:
             runner.run_build(job)
+        assert str(exc.value) == "build script exited 124"
         assert job.failed_phase == "build"
-        assert "timeout" in job.log_path.read_text()
+        assert job.log_path.read_text().endswith("timeout after 1s\n")
+        with pytest.raises(ProcessLookupError):  # killed and reaped
+            os.kill(int(pid_file.read_text()), 0)
+
+    def test_script_exits_are_seen_without_sleeping(self, small_ws, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        config, corpus, graph, runner = make_runner(small_ws)
+        job = first_job(runner, plan(EVENT_HELLO, corpus, graph, config.matrix))
+        runner.run_job(job)
+        assert job.state == DELIVERED
+        assert sleeps == []
+
+    def test_failed_pidfd_open_reaps_the_child(self, small_ws, monkeypatch):
+        started = []
+
+        class RecordedPopen(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.append(self)
+
+        def no_pidfd(pid):
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+        monkeypatch.setattr(subprocess, "Popen", RecordedPopen)
+        monkeypatch.setattr(os, "pidfd_open", no_pidfd)
+        config, corpus, graph, runner = make_runner(small_ws)
+        job = first_job(runner, plan(EVENT_HELLO, corpus, graph, config.matrix))
+        runner._reset_log(job)
+        script = small_ws.root / "slow.sh"
+        script.write_text("#!/bin/sh\nsleep 5\n")
+        with pytest.raises(OSError) as exc:
+            runner._run_script(job, script, {"PATH": "/usr/bin:/bin"}, small_ws.root)
+        assert exc.value.errno == errno.EMFILE
+        [proc] = started
+        assert proc.returncode == -signal.SIGKILL
+        with pytest.raises(ProcessLookupError):
+            os.kill(proc.pid, 0)
 
     def test_log_phases_delimited(self, small_ws):
         config, corpus, graph, runner = make_runner(small_ws)

@@ -243,6 +243,24 @@ class TestStaging:
         repo.abort(tx)
         assert temporaries(repo) == []
 
+    def test_fifo_inside_a_prefix_fails_without_blocking(self, repo, tmp_path):
+        deploy = make_tree(tmp_path / "deploy", {"p/bin/b": "b"})
+        os.mkfifo(deploy / "p" / "bin" / "pipe")
+        tx = repo.begin_transaction()
+        raised = []
+
+        def stage():
+            try:
+                repo.stage(tx, deploy / "p", "a/p")
+            except InvariantViolation as exc:
+                raised.append(str(exc))
+
+        worker = threading.Thread(target=stage, daemon=True)
+        worker.start()
+        worker.join(timeout=5)
+        assert not worker.is_alive()  # an open() of the FIFO would block
+        assert raised == ["cannot stage a/p/bin/pipe: not a regular file"]
+        repo.abort(tx)
 
 class TestPublish:
     def test_minimal_publish_gets_revision_file_entry(self, repo):

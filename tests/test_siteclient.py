@@ -176,6 +176,32 @@ class TestMve:
         assert "mve exploded" in report.output
         assert "exited 2" in report.output
 
+    def test_mve_timeout_fails_the_report(self, published_ws):
+        ws, config, corpus, _ = published_ws
+        mve = ws.corpus_root / "hello" / "1.0" / "tests" / "mve.sh"
+        mve.write_text("#!/bin/sh\necho started\nsleep 3\n")
+        cache = fresh_cache(ws)
+        cache.sync()
+        recipe = corpus.recipes[("hello", "1.0")]
+        report = cache.run_mve(recipe, TARGET, corpus.recipe_dir(("hello", "1.0")), 1)
+        assert not report.passed
+        assert report.tests_run == 1
+        assert report.output == "$ tests/mve.sh\nstarted\ntimeout after 1s\n"
+
+    def test_undecodable_output_is_replaced(self, published_ws):
+        ws, config, corpus, _ = published_ws
+        mve = ws.corpus_root / "hello" / "1.0" / "tests" / "mve.sh"
+        mve.write_text(
+            "#!/bin/sh\nprintf 'out\\377\\376\\r\\n\\303\\251\\n'\n"
+            "printf 'err\\r' >&2\n"
+        )
+        cache = fresh_cache(ws)
+        cache.sync()
+        recipe = corpus.recipes[("hello", "1.0")]
+        report = cache.run_mve(recipe, TARGET, corpus.recipe_dir(("hello", "1.0")))
+        assert report.passed
+        assert report.output == "$ tests/mve.sh\nout\ufffd\ufffd\n\u00e9\nerr\n"
+
     def test_mve_independent_of_skipped_revisions(self, published_ws):
         ws, config, corpus, _ = published_ws
         late = fresh_cache(ws, "late")

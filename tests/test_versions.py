@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rade.errors import InvariantViolation, SchemaViolation
@@ -18,6 +20,8 @@ def oracle_cmp(a: str, b: str) -> int:
     for x, y in zip(pa, pb):
         if x.isdigit() and y.isdigit():
             x, y = int(x), int(y)
+        elif x.isdigit() or y.isdigit():  # a number sorts below anything else
+            x, y = not x.isdigit(), not y.isdigit()
         if x < y:
             return -1
         if x > y:
@@ -41,6 +45,19 @@ def test_non_numeric_components_compare_lexicographically():
     assert version_cmp("1.rc1", "1.0") > 0  # "rc1" vs "0", lexicographic
 
 
+def test_numbers_sort_below_other_components():
+    assert version_cmp("1a", "9") > 0
+    assert version_cmp("1a", "10") > 0
+    assert version_cmp("1..2", "1.0.2") > 0  # "" is not a number
+    for order in itertools.permutations(["1a", "10", "9"]):
+        assert max_version(order) == "1a"
+
+
+def test_max_version_of_equal_versions_is_the_greatest_string():
+    assert max_version(["1.0.0", "1", "1.0"]) == "1.0.0"
+    assert max_version(["1.0", "1.0.0", "1"]) == "1.0.0"
+
+
 def test_max_version_uses_component_ordering():
     assert max_version({"1.1", "1.2", "1.10"}) == "1.10"
 
@@ -48,6 +65,8 @@ def test_max_version_uses_component_ordering():
 def test_sorting_with_version_key():
     versions = ["1.10", "1.2", "1.1", "2.0"]
     assert sorted(versions, key=version_key) == ["1.1", "1.2", "1.10", "2.0"]
+    mixed = ["1a", "01.1", "9", "1", "1.rc1"]
+    assert sorted(mixed, key=version_key) == ["1", "01.1", "1.rc1", "9", "1a"]
 
 
 versions_st = st.lists(
@@ -66,6 +85,24 @@ def test_cmp_agrees_with_oracle(a, b):
 def test_cmp_transitive(a, b, c):
     if version_cmp(a, b) <= 0 and version_cmp(b, c) <= 0:
         assert version_cmp(a, c) <= 0
+
+
+# digit runs with leading zeros, letters, mixes of both and empty components
+mixed_versions_st = st.lists(st.text("0129abz", max_size=4), min_size=1, max_size=4).map(
+    ".".join
+)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.lists(mixed_versions_st, min_size=1, max_size=5))
+def test_version_order_is_total(versions):
+    for a, b in itertools.product(versions, repeat=2):
+        assert version_cmp(a, b) == -version_cmp(b, a) == oracle_cmp(a, b)
+    for a, b, c in itertools.product(versions, repeat=3):
+        if version_cmp(a, b) <= 0 and version_cmp(b, c) <= 0:
+            assert version_cmp(a, c) <= 0
+    results = {max_version(order) for order in itertools.permutations(versions)}
+    assert results == {max_version(versions)}
 
 
 class TestConstraintParsing:
