@@ -74,7 +74,7 @@ def _publish(config, request: pipeline.PublicationRequest) -> repo_mod.RepoHead:
     tx = repo.begin_transaction(wait_s=30.0)
     try:
         for source, repo_prefix in request.stages:
-            repo.stage(tx, Path(source), repo_prefix)
+            repo.stage(tx, Path(source), repo_prefix, config.deploy_root)
         return repo.publish(tx, request.job_id)
     except Exception:
         repo.abort(tx)
@@ -99,17 +99,13 @@ def _run_one_event(config, runner, corpus, graph, event) -> int:
     build_plan = pipeline.plan(event, corpus, graph, config.matrix)
     if build_plan.jobs:  # an older run's publication names prefixes this run rewrites
         (config.workdir / PUBLICATION_MANIFEST).unlink(missing_ok=True)
-    try:
-        report = runner.run_plan(build_plan, config.width)
-    except InvariantViolation as exc:  # the payload gate: this event fails alone
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_JOB_FAILURE
+    report = runner.run_plan(build_plan, config.width)
     _save_run_artifacts(config, report)
     print(report.render(), end="")
     if report.publication is not None:
         try:
             head = _publish(config, report.publication)
-        except (InvariantViolation, PathCollision) as exc:  # a payload fault, as above
+        except (InvariantViolation, PathCollision) as exc:  # fails this event alone
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_JOB_FAILURE
         print(f"published revision {head.revision} (job {head.job_id})")
@@ -320,6 +316,14 @@ def cmd_mve(args) -> int:
     return EXIT_OK if report.passed else EXIT_JOB_FAILURE
 
 
+def _seconds(text: str) -> float:
+    """A poll interval: a finite number of seconds, at least 0."""
+    value = float(text)  # argparse reports a ValueError as a usage error too
+    if not 0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"not a non-negative number of seconds: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rade",
@@ -370,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sync", help="sync a site cache from the repository")
     p.add_argument("--repo", required=True)
     p.add_argument("--cache", required=True)
-    p.add_argument("--interval", type=float, default=1.0, help="poll interval seconds")
+    p.add_argument("--interval", type=_seconds, default=1.0, help="poll interval seconds")
     p.add_argument("--attempts", type=int, default=1, help="poll attempts before giving up")
     p.set_defaults(func=cmd_sync)
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import os
 import select
+import signal
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
@@ -120,10 +121,14 @@ def run_script(argv, env, cwd, timeout_s, stdout, stderr) -> int | None:
 
     The wait is a ``poll`` on the child's pidfd (Linux >= 5.3), so the exit
     is seen as it happens; ``subprocess.run(timeout=...)`` would see it only
-    at its next ``waitpid`` after a growing sleep. The child is reaped on
-    every path, including an error from ``pidfd_open`` or from the wait.
+    at its next ``waitpid`` after a growing sleep. The child starts a session
+    of its own, so a timeout, or an error from ``pidfd_open`` or from the
+    wait, kills every process the script started with it; the child is
+    reaped on every path.
     """
-    proc = subprocess.Popen(argv, stdout=stdout, stderr=stderr, env=env, cwd=cwd)
+    proc = subprocess.Popen(
+        argv, stdout=stdout, stderr=stderr, env=env, cwd=cwd, start_new_session=True
+    )
     try:
         pidfd = os.pidfd_open(proc.pid)
         try:
@@ -133,12 +138,13 @@ def run_script(argv, env, cwd, timeout_s, stdout, stderr) -> int | None:
         finally:
             os.close(pidfd)
     except BaseException:
-        proc.kill()
+        os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
         raise
     if exited:
         return proc.wait()
-    proc.kill()
+    # until the child is reaped its pid names its group, and no other
+    os.killpg(proc.pid, signal.SIGKILL)
     proc.wait()
     return None
 

@@ -8,7 +8,6 @@ their dependencies' jobs on the same target to reach Delivered.
 """
 from __future__ import annotations
 
-import errno
 import logging
 import os
 import shutil
@@ -133,42 +132,6 @@ class Job:
 class PublicationRequest:
     job_id: str
     stages: tuple[tuple[Path, str], ...]
-
-
-def _resolve(path) -> str:
-    """``str(Path(path).resolve())``, or "" if that meets a symlink loop, on
-    which Python 3.11 raises and 3.13 returns the looping link. "" and every
-    path joined below it are relative, so no root holds them."""
-    real = os.path.realpath(path)
-    try:
-        os.stat(real)
-    except OSError as exc:
-        if exc.errno == errno.ELOOP:
-            return ""
-    return real
-
-
-def escaping_paths(paths, root: Path):
-    """Yield each of ``paths`` that ``path.resolve()`` would place outside
-    ``root.resolve()``, or whose resolution meets a symlink loop."""
-    real_root = str(root.resolve())
-    inside = os.path.join(real_root, "")
-    for path in paths:
-        resolved = _resolve(path)
-        if resolved != real_root and not resolved.startswith(inside):
-            yield path
-
-
-def _payload_paths(roots):
-    """``roots``, then every symlink below them, found by a walk that follows
-    none: staging reads a file through its links."""
-    yield from roots
-    for root in roots:
-        for parent, dirs, files in os.walk(root):
-            for name in dirs + files:
-                path = os.path.join(parent, name)
-                if os.path.islink(path):
-                    yield path
 
 
 @dataclass
@@ -509,14 +472,6 @@ class JobRunner:
                 self._reset_log(job)
         report = RunReport(outcomes=list(jobs.values()))
         if build_plan.jobs and report.ok:
-            stages = [stage for job in jobs.values() for stage in job.payload]
-            roots = [p for p, _ in stages]
-            escaped = next(escaping_paths(_payload_paths(roots), self.deploy.root), None)
-            if escaped is not None:
-                raise InvariantViolation(
-                    f"publication payload {escaped} escapes the deploy tree"
-                )
-            report.publication = PublicationRequest(
-                job_id=build_plan.event_id, stages=tuple(stages)
-            )
+            stages = tuple(stage for job in jobs.values() for stage in job.payload)
+            report.publication = PublicationRequest(job_id=build_plan.event_id, stages=stages)
         return report

@@ -19,8 +19,8 @@ byte for byte with the last pending object of its size, so such a duplicate
 within a transaction is neither hashed nor written. Publish only renames the
 pending temporaries into place before it writes the catalog; an abort
 removes them, and the next transaction sweeps those a killed writer left. A
-payload that cannot be read fails with InvariantViolation, a store that
-cannot be written with StoreWriteFailure.
+payload that staging refuses (see ``_payload``) fails with
+InvariantViolation, a store that cannot be written with StoreWriteFailure.
 
 A catalog is line-oriented UTF-8 text, one ``path<TAB>mode<TAB>sha256<TAB>size``
 line per entry sorted bytewise by path. Every published catalog carries a
@@ -128,6 +128,52 @@ def copy_verified(
 
 def _unstageable(repo_path: str, reason: str) -> InvariantViolation:
     return InvariantViolation(f"cannot stage {repo_path}: {reason}")
+
+
+def _payload(
+    source: Path, prefix: str, root: Path
+) -> Iterator[tuple[str, str, os.stat_result | None]]:
+    """(repo path, path, stat) of each file that staging ``source`` at
+    ``prefix`` publishes, and a stat of None for each empty directory below
+    ``source``, ordered as ``Path`` objects sort: one sorted ``scandir``
+    walk that follows no link. It raises ``cannot stage <repo path>:
+    <reason>`` at the first path that cannot be stat-ed or listed (say a
+    missing source, a dangling link or a loop), that is the source or a
+    link and resolves outside ``root``, that is a link to a directory, or
+    that is neither a regular file nor a directory (an open of a FIFO would
+    block)."""
+    inside = os.path.join(os.path.realpath(root), "")
+
+    def visit(path: str, repo_path: str, entry: os.DirEntry | None):
+        try:
+            if entry is None or entry.is_symlink():
+                st = os.stat(path)  # first, so that a loop is reported as one
+                # staging reads a file through its links: one out of the tree
+                # would publish the bytes it points at
+                if not os.path.join(os.path.realpath(path), "").startswith(inside):
+                    raise _unstageable(repo_path, f"resolves outside {root}")
+                if entry is not None and stat.S_ISDIR(st.st_mode):
+                    # the frozen catalog format has no link type to publish it as
+                    raise _unstageable(repo_path, "symlink to a directory")
+            else:
+                st = entry.stat(follow_symlinks=False)
+            if stat.S_ISDIR(st.st_mode):
+                with os.scandir(path) as it:
+                    entries = sorted(it, key=lambda child: child.name)
+        except OSError as exc:
+            raise _unstageable(repo_path, exc.strerror) from exc
+        if not stat.S_ISDIR(st.st_mode):
+            if not stat.S_ISREG(st.st_mode):
+                raise _unstageable(repo_path, "not a regular file")
+            yield repo_path, path, st
+        elif entries:
+            for child in entries:
+                child_path = _check_repo_path(f"{repo_path}/{child.name}")
+                yield from visit(child.path, child_path, child)
+        elif entry is not None:
+            yield repo_path, path, None
+
+    yield from visit(os.fspath(source), prefix, None)
 
 
 def _payload_chunks(fh, repo_path: str) -> Iterator[bytes]:
@@ -516,60 +562,41 @@ class Repository:
         if tx.state == "open":
             tx.close("aborted")
 
-    def stage(self, tx: Transaction, source: Path, repo_prefix: str) -> int:
-        """Stage a directory tree (or single file) at ``repo_prefix``.
+    def stage(self, tx: Transaction, source: Path, repo_prefix: str, root: Path) -> int:
+        """Stage a directory tree (or single file) at ``repo_prefix``: the one
+        place that decides what a payload may publish.
 
         On publish the staged trees replace whatever the previous catalog
         held under their prefixes. Executables keep their permission bit.
         Restaging identical content is idempotent; different content at an
         already-staged path is a PathCollision. Each file's new bytes are
-        written here, as pending objects (see :meth:`_put`). A file that
-        cannot be read, anything but a regular file or a directory (such as
-        a FIFO), or a symlink to a directory inside the tree, is an
-        InvariantViolation; a temporary that cannot be written is a
+        written here, as pending objects (see :meth:`_put`). The tree is
+        walked once (see :func:`_payload`); its first path that cannot be
+        published is an InvariantViolation, ``cannot stage <repo path>:
+        <reason>``, and a temporary that cannot be written is a
         StoreWriteFailure.
         """
         if tx.state != "open":
             raise TransactionInProgress(f"transaction {tx.id} is {tx.state}")
-        source = Path(source)
         prefix = _check_repo_path(repo_prefix)
-        if source.is_file():
-            items = [(prefix, source)]
-        else:
-            items = []
-            for child in sorted(source.rglob("*")):
-                rel = child.relative_to(source).as_posix()
-                items.append((_check_repo_path(f"{prefix}/{rel}"), child))
         count = 0
-        for repo_path, fs_path in items:
+        for repo_path, fs_path, st in _payload(source, prefix, root):
             if repo_path == REVISION_FILE:
                 raise PathCollision(f"{REVISION_FILE} is maintained by publish")
-            try:
-                st = os.stat(fs_path)
-                if stat.S_ISDIR(st.st_mode):
-                    # rglob does not descend into a link, and the frozen
-                    # catalog format has no link type to publish it as
-                    if fs_path.is_symlink():
-                        raise _unstageable(repo_path, "symlink to a directory")
-                    if not any(fs_path.iterdir()):
-                        tx.staged[repo_path] = _StagedFile(DIRECTORY, "", 0)
-                        count += 1
-                    continue
-            except OSError as exc:  # e.g. a dangling symlink or a symlink loop
-                raise _unstageable(repo_path, exc.strerror) from exc
-            if not stat.S_ISREG(st.st_mode):  # opening a FIFO would block
-                raise _unstageable(repo_path, "not a regular file")
+            count += 1
+            if st is None:  # an empty directory
+                tx.staged[repo_path] = _StagedFile(DIRECTORY, "", 0)
+                continue
             sha, size = self._put(tx, fs_path, st.st_size, repo_path)
             mode = EXECUTABLE if os.access(fs_path, os.X_OK) else FILE
             previous = tx.staged.get(repo_path)
             if previous is not None and previous.sha256 != sha:
                 raise PathCollision(f"{repo_path} staged twice with different content")
             tx.staged[repo_path] = _StagedFile(mode, sha, size)
-            count += 1
         tx.prefixes.add(prefix)
         return count
 
-    def _put(self, tx: Transaction, path: Path, size: int, repo_path: str) -> tuple[str, int]:
+    def _put(self, tx: Transaction, path: str, size: int, repo_path: str) -> tuple[str, int]:
         """Hash the payload file ``path``, leaving its bytes pending in
         ``objects/`` if they are new, and return their digest and size. A
         file of more than one chunk is first compared with the last pending

@@ -153,7 +153,7 @@ def test_criterion_3_atomic_publication(tmp_path):
                 payload.mkdir()
                 (payload / "data").write_text(f"generation {i}\n")
                 tx = repo.begin_transaction()
-                repo.stage(tx, payload, f"apps/demo/{i}")
+                repo.stage(tx, payload, f"apps/demo/{i}", tmp_path)
                 repo.publish(tx, f"job-{i}")
         finally:
             stop.set()
@@ -283,19 +283,19 @@ def test_criterion_7_dedup(tmp_path):
         assert revision_file.read_text() == "0\n"
 
         tx = repo.begin_transaction()
-        repo.stage(tx, payload, "apps/tool/1.0")
+        repo.stage(tx, payload, "apps/tool/1.0", tmp_path)
         repo.publish(tx, "job-1")
         count_after_first = object_count()
         assert revision_file.read_text() == "1\n"
 
         tx = repo.begin_transaction()
-        repo.stage(tx, payload, "apps/tool/1.0")
+        repo.stage(tx, payload, "apps/tool/1.0", tmp_path)
         repo.publish(tx, "job-2")
         assert object_count() == count_after_first  # 0 new object-store files
         assert revision_file.read_text() == "2\n"
 
         tx = repo.begin_transaction()
-        repo.stage(tx, payload, "apps/tool/1.0")
+        repo.stage(tx, payload, "apps/tool/1.0", tmp_path)
         repo.publish(tx, "job-3")
         assert object_count() == count_after_first
         assert revision_file.read_text() == "3\n"

@@ -129,7 +129,7 @@ def publish(repo, model, staged, src: Path, job: str):
         else:
             write(root, content)
             entries[prefix] = entry(prefix, content)
-        repo.stage(tx, root, prefix)
+        repo.stage(tx, root, prefix, src)
 
     kept = {p: e for p, e in model.items() if not under(p, staged)}
     kept.update(entries)

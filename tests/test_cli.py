@@ -361,21 +361,18 @@ def test_unreadable_payload_file_fails_without_traceback(ws, capsys, target, rea
     a = write_event(ws.spool_dir / "a.json", "evt-a", ["hello/1.0/build.sh"])
     assert run_cli("run", "--config", ws.config_path, "--event", a) == 0
     before = (ws.repo_path / "HEAD").read_bytes()
-    recorded = records(ws)
     # a dangling link, or a link to itself, inside the delivered prefix
     deploy_hello_with(ws, f'ln -s {target} "$PREFIX/bin/bad"')
     b = write_event(ws.spool_dir / "b.json", "evt-b", ["hello/1.0/deploy.sh"])
     capsys.readouterr()
     assert run_cli("run", "--config", ws.config_path, "--event", b) == 1
-    err = capsys.readouterr().err
-    if target == "bad":  # the gate meets the loop before staging would (``reason``)
-        link = ws.deploy_root / HELLO_PREFIX / "bin" / "bad"
-        assert err == f"error: publication payload {link} escapes the deploy tree\n"
-        # nothing is recorded; the run dropped the publication record of the
-        # prefix it rewrote before its first job started
-        assert records(ws) == {cli.LAST_RUN_REPORT: recorded[cli.LAST_RUN_REPORT]}
-    else:
-        assert err == f"error: cannot stage {HELLO_PREFIX}/bin/bad: {reason}\n"
+    error = f"error: cannot stage {HELLO_PREFIX}/bin/bad: {reason}\n"
+    assert capsys.readouterr().err == error
+    # the run is recorded before its publication is refused, and a
+    # republication of the record meets the same check
+    assert json.loads(records(ws)[cli.PUBLICATION_MANIFEST])["job_id"] == "evt-b"
+    assert run_cli("publish", "--config", ws.config_path) == 1
+    assert capsys.readouterr().err == error
     assert (ws.repo_path / "HEAD").read_bytes() == before
     assert run_cli("verify", "--config", ws.config_path) == 0
 
@@ -397,10 +394,10 @@ def test_payload_link_out_of_the_deploy_tree_fails_the_run(ws, capsys, kind):
     b = write_event(ws.spool_dir / "b.json", "evt-b", ["hello/1.0/deploy.sh"])
     capsys.readouterr()
     assert run_cli("run", "--config", ws.config_path, "--event", b) == 1
-    link = ws.deploy_root / HELLO_PREFIX / name
-    assert capsys.readouterr().err == (
-        f"error: publication payload {link} escapes the deploy tree\n"
-    )
+    error = f"error: cannot stage {HELLO_PREFIX}/{name}: resolves outside {ws.deploy_root}\n"
+    assert capsys.readouterr().err == error
+    assert run_cli("publish", "--config", ws.config_path) == 1
+    assert capsys.readouterr().err == error
     assert (ws.repo_path / "HEAD").read_bytes() == before
     assert not [p for p in ws.repo_path.rglob("*") if p.is_file() and p.read_bytes() == secret]
 
@@ -423,9 +420,8 @@ def test_escaping_payload_fails_its_own_event_only(ws, capsys):
     write_event(ws.spool_dir / "b.json", "evt-b", ["hello/1.0/deploy.sh"])
     write_event(ws.spool_dir / "c.json", "evt-c", ["libdemo/1.0/build.sh"])
     assert run_cli("run", "--config", ws.config_path, "--event", ws.spool_dir) == 1
-    link = ws.deploy_root / HELLO_PREFIX / "bin" / "up"
     assert capsys.readouterr().err == (
-        f"error: publication payload {link} escapes the deploy tree\n"
+        f"error: cannot stage {HELLO_PREFIX}/bin/up: resolves outside {ws.deploy_root}\n"
     )
     assert Repository.open(ws.repo_path).read_head().job_id == "evt-c"
     assert sorted(p.name for p in ws.spool_dir.iterdir()) == ["b.json.done", "c.json.done"]
@@ -442,6 +438,41 @@ def test_unstageable_payload_fails_its_own_event_only(ws, capsys):
     assert Repository.open(ws.repo_path).read_head().job_id == "evt-c"
     assert sorted(p.name for p in ws.spool_dir.iterdir()) == ["b.json.done", "c.json.done"]
     assert not [p for p in ws.repo_path.rglob("*") if p.name.endswith(".tmp")]
+
+
+def link_out_of_the_prefix(ws, outside):
+    (ws.deploy_root / HELLO_PREFIX / "bin" / "leak").symlink_to(outside)
+    return f"{HELLO_PREFIX}/bin/leak: resolves outside {ws.deploy_root}"
+
+
+def stage_outside_the_deploy_tree(ws, outside):
+    manifest = ws.workdir / cli.PUBLICATION_MANIFEST
+    doc = json.loads(manifest.read_text())
+    doc["stages"].append([str(outside), "x86_64/linux/sitea/leak"])
+    manifest.write_text(json.dumps(doc))
+    return f"x86_64/linux/sitea/leak: resolves outside {ws.deploy_root}"
+
+
+def delete_the_prefix(ws, outside):
+    shutil.rmtree(ws.deploy_root / HELLO_PREFIX)
+    return f"{HELLO_PREFIX}: No such file or directory"
+
+
+@pytest.mark.parametrize(
+    "damage", [link_out_of_the_prefix, stage_outside_the_deploy_tree, delete_the_prefix]
+)
+def test_publish_checks_the_payload_as_a_run_does(ws, capsys, damage):
+    a = write_event(ws.spool_dir / "a.json", "evt-a", ["hello/1.0/build.sh"])
+    assert run_cli("run", "--config", ws.config_path, "--event", a) == 0
+    before = (ws.repo_path / "HEAD").read_bytes()
+    outside = ws.root / "outside"
+    outside.write_bytes(b"secret\n")
+    expected = damage(ws, outside)
+    capsys.readouterr()
+    assert run_cli("publish", "--config", ws.config_path) == 1
+    assert capsys.readouterr().err == f"error: cannot stage {expected}\n"
+    assert (ws.repo_path / "HEAD").read_bytes() == before
+    assert run_cli("verify", "--config", ws.config_path) == 0
 
 
 def test_full_disk_at_staging_leaves_the_event_pending(ws, capsys, monkeypatch):
@@ -736,6 +767,18 @@ class TestSyncAndMve:
         capsys.readouterr()
         assert run_cli("sync", "--repo", ws.repo_path, "--cache", cache) == 0
         assert "unchanged" in capsys.readouterr().out
+
+    def test_negative_poll_interval_is_a_usage_error(self, ws, capsys):
+        event = write_event(ws.spool_dir / "e.json", "evt", ["hello/1.0/build.sh"])
+        run_cli("run", "--config", ws.config_path, "--event", event)
+        cache = ws.root / "cache"
+        run_cli("sync", "--repo", ws.repo_path, "--cache", cache)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:  # the head is unchanged, so sync would sleep
+            run_cli("sync", "--repo", ws.repo_path, "--cache", cache,
+                    "--interval", "-1", "--attempts", "2")
+        assert exc.value.code == 2
+        assert "argument --interval: " in capsys.readouterr().err
 
     def test_mve_for_unknown_recipe_is_config_error(self, ws):
         assert (

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import collections
 import errno
-import itertools
 import json
 import os
 import signal
@@ -17,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rade import pipeline
+from rade import cli, pipeline
 from rade.depgraph import BuildPlan, DependencyGraph, build_order
 from rade.envtree import DEPLOY, EnvTree, prefix_for
 
@@ -34,10 +33,10 @@ from rade.pipeline import (
     TESTED,
     TESTING,
     JobRunner,
-    escaping_paths,
     plan,
 )
 from rade.recipes import CommitEvent
+from rade.repo import Repository
 from rade.targets import Target, target_id
 from toycorpus import (
     OPS_NO_WORLD_WRITABLE,
@@ -336,10 +335,16 @@ ln -s "{elsewhere}" "$PREFIX"
 """)
         config, corpus, graph, runner = make_runner(small_ws)
         build_plan = plan(EVENT_HELLO, corpus, graph, config.matrix)
-        with pytest.raises(InvariantViolation, match="escapes the deploy tree"):
-            runner.run_plan(build_plan, config.width)
+        report = runner.run_plan(build_plan, config.width)
         target = Target("x86_64", "linux", "sitea")
         assert prefix_for(runner.deploy, target, "hello", "1.0").is_symlink()
+        with pytest.raises(InvariantViolation) as exc:
+            cli._publish(config, report.publication)
+        assert str(exc.value) == (
+            "cannot stage x86_64/linux/sitea/hello/1.0: "
+            f"resolves outside {small_ws.deploy_root}"
+        )
+        assert Repository.open(config.repo_path).read_head().revision == 0
 
     def test_prefix_left_as_a_symlink_loop_publishes_nothing(self, small_ws):
         # app, delivered after libdemo, leaves libdemo's deploy prefix a loop
@@ -358,8 +363,13 @@ fi
 """)
         config, corpus, graph, runner = make_runner(small_ws)
         build_plan = plan(EVENT_LIBDEMO, corpus, graph, config.matrix)
-        with pytest.raises(InvariantViolation, match="libdemo/1.0 escapes the deploy tree"):
-            runner.run_plan(build_plan, config.width)
+        report = runner.run_plan(build_plan, config.width)
+        with pytest.raises(InvariantViolation) as exc:
+            cli._publish(config, report.publication)
+        assert str(exc.value) == (
+            "cannot stage x86_64/linux/sitea/libdemo/1.0: Too many levels of symbolic links"
+        )
+        assert Repository.open(config.repo_path).read_head().revision == 0
 
     def test_delivered_modulefile_setenv_matches_prefix(self, small_ws):
         from rade.envtree import DEPLOY, EnvTree, modulefile_path, prefix_for
@@ -589,6 +599,20 @@ class TestEnvironment:
         assert job.log_path.read_text().endswith("timeout after 1s\n")
         with pytest.raises(ProcessLookupError):  # killed and reaped
             os.kill(int(pid_file.read_text()), 0)
+
+    def test_phase_timeout_kills_what_the_script_started(self, tmp_path):
+        ws = make_workspace(tmp_path, phase_timeout_s=1)
+        marker = tmp_path / "m"
+        (ws.corpus_root / "hello" / "1.0" / "build.sh").write_text(
+            f'#!/bin/sh\nm={marker}\n(sleep 2; echo late >> "$m") &\nsleep 30\n'
+        )
+        config, corpus, graph, runner = make_runner(ws)
+        job = first_job(runner, plan(EVENT_HELLO, corpus, graph, config.matrix))
+        started = time.monotonic()
+        with pytest.raises(BuildFailed):
+            runner.run_build(job)
+        time.sleep(max(0.0, started + 3 - time.monotonic()))
+        assert not marker.exists()  # the background writer died with the script
 
     def test_script_exits_are_seen_without_sleeping(self, small_ws, monkeypatch):
         sleeps = []
@@ -850,58 +874,3 @@ def test_skip_reason_names_the_first_failed_dependency_in_key_order(tmp_path):
     assert outcomes["app"].reason == "dependency liba/1.0 not delivered"
     assert outcomes["viewer"].reason == "dependency liba/1.0 not delivered"
     assert report.publication is None
-
-
-# Symlinks at several depths of a deploy tree, pointing inside it, out of it
-# (also to a sibling whose name starts with the tree's), up through it and
-# nowhere. Relative targets are read from the link's directory.
-LINK_SPOTS = ("d1", "a/d2", "a/b/d3", "a/b/c/d4")
-LINK_TARGETS = (
-    "a", "c", "..", "../..", "../outside", "missing", "{root}", "{root}/a/b", "{outside}",
-    "{root}-x",
-)
-
-
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(
-    links=st.dictionaries(st.sampled_from(LINK_SPOTS), st.sampled_from(LINK_TARGETS), max_size=3),
-    linked_root=st.booleans(),
-)
-def test_escaping_paths_agrees_with_resolve(links, linked_root):
-    with tempfile.TemporaryDirectory() as tmp:
-        base = Path(tmp)
-        real_root, outside = base / "deploy", base / "outside"
-        (real_root / "a/b/c").mkdir(parents=True)
-        (outside / "b").mkdir(parents=True)
-        (base / "deploy-x" / "b").mkdir(parents=True)
-        root = real_root
-        if linked_root:  # the deploy root itself reached through a symlink
-            root = base / "deploy-link"
-            root.symlink_to(real_root)
-        for spot, target in links.items():
-            (real_root / spot).symlink_to(target.format(root=real_root, outside=outside))
-        components = itertools.product(("a", "d1", ".."), ("b", "d2"), ("c", "d3", "x"), ("d4", "f"))
-        paths = [
-            root.joinpath(*prefix)
-            for prefix in sorted({parts[:n] for parts in components for n in range(1, 5)})
-        ]
-        paths += [outside / "b", base / "deploy" / "a", root / "a" / ".." / ".." / "outside"]
-        paths += [base / "deploy-x" / "b"]
-        expected = [p for p in paths if not p.resolve().is_relative_to(root.resolve())]
-        assert list(escaping_paths(paths, root)) == expected
-
-
-def test_escaping_paths_counts_a_symlink_loop_as_escaping(tmp_path):
-    root = tmp_path / "deploy"
-    (root / "x" / "ok").mkdir(parents=True)
-    (root / "x" / "loop").symlink_to("loop")
-    (root / "x" / "pair").symlink_to("loop")
-    paths = [
-        root / "x" / "ok",
-        root / "x" / "loop",
-        root / "x" / "loop" / "a",
-        root / "x" / "pair" / "a",
-        root / "x" / ".." / "x" / "loop",
-        root / "x" / "missing",
-    ]
-    assert list(escaping_paths(paths, root)) == paths[1:5]

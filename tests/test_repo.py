@@ -149,7 +149,7 @@ class TestTransactions:
             "from rade.repo import Repository\n"
             "repo = Repository(sys.argv[1])\n"
             "tx = repo.begin_transaction()\n"
-            "repo.stage(tx, sys.argv[2], 'apps')\n"
+            "repo.stage(tx, sys.argv[2], 'apps', sys.argv[2])\n"
             "print(len(tx.pending), flush=True)\n"
             "time.sleep(60)\n"
         )
@@ -173,7 +173,7 @@ class TestTransactions:
     def test_publish_takes_the_head_read_under_the_lock(self, repo, tmp_path, monkeypatch):
         tree = make_tree(tmp_path / "t", {"a": "content"})
         tx = repo.begin_transaction()
-        repo.stage(tx, tree, "apps")
+        repo.stage(tx, tree, "apps", tmp_path)
         assert tx.head == repo.read_head()
         reads = []
         original = Repository.read_head
@@ -188,14 +188,14 @@ class TestStaging:
     def test_counts_files(self, repo, tmp_path):
         tree = make_tree(tmp_path / "t", {"a": "1", "b": "2", "sub/c": "3"})
         tx = repo.begin_transaction()
-        assert repo.stage(tx, tree, "apps") == 3
+        assert repo.stage(tx, tree, "apps", tmp_path) == 3
         repo.abort(tx)
 
     def test_idempotent_restage(self, repo, tmp_path):
         tree = make_tree(tmp_path / "t", {"a": "same"})
         tx = repo.begin_transaction()
-        repo.stage(tx, tree, "apps")
-        repo.stage(tx, tree, "apps")
+        repo.stage(tx, tree, "apps", tmp_path)
+        repo.stage(tx, tree, "apps", tmp_path)
         assert len(tx.staged) == 1
         repo.abort(tx)
 
@@ -203,16 +203,16 @@ class TestStaging:
         one = make_tree(tmp_path / "one", {"a": "first"})
         two = make_tree(tmp_path / "two", {"a": "second"})
         tx = repo.begin_transaction()
-        repo.stage(tx, one, "apps")
+        repo.stage(tx, one, "apps", tmp_path)
         with pytest.raises(PathCollision):
-            repo.stage(tx, two, "apps")
+            repo.stage(tx, two, "apps", tmp_path)
         repo.abort(tx)
 
     def test_single_file_staging(self, repo, tmp_path):
         f = tmp_path / "module"
         f.write_text("#%Module1.0\n")
         tx = repo.begin_transaction()
-        assert repo.stage(tx, f, "modulefiles/x/m") == 1
+        assert repo.stage(tx, f, "modulefiles/x/m", tmp_path) == 1
         repo.abort(tx)
 
     def test_revision_path_reserved(self, repo, tmp_path):
@@ -220,7 +220,7 @@ class TestStaging:
         f.write_text("boom")
         tx = repo.begin_transaction()
         with pytest.raises(PathCollision):
-            repo.stage(tx, f, ".revision")
+            repo.stage(tx, f, ".revision", tmp_path)
         repo.abort(tx)
 
     def test_escaping_paths_rejected(self, repo, tmp_path):
@@ -229,7 +229,7 @@ class TestStaging:
         tx = repo.begin_transaction()
         for bad in ("../out", "/abs", "a//b", "a/./b"):
             with pytest.raises(PathCollision):
-                repo.stage(tx, f, bad)
+                repo.stage(tx, f, bad, tmp_path)
         repo.abort(tx)
 
     def test_symlinked_directory_inside_a_prefix_fails(self, repo, tmp_path):
@@ -237,7 +237,7 @@ class TestStaging:
         (deploy / "p" / "lib").symlink_to("../q/lib")
         tx = repo.begin_transaction()
         with pytest.raises(InvariantViolation) as exc:
-            repo.stage(tx, deploy / "p", "a/p")
+            repo.stage(tx, deploy / "p", "a/p", tmp_path)
         assert str(exc.value) == "cannot stage a/p/lib: symlink to a directory"
         assert temporaries(repo) != []  # bin/b was staged before the link
         repo.abort(tx)
@@ -251,7 +251,7 @@ class TestStaging:
 
         def stage():
             try:
-                repo.stage(tx, deploy / "p", "a/p")
+                repo.stage(tx, deploy / "p", "a/p", tmp_path)
             except InvariantViolation as exc:
                 raised.append(str(exc))
 
@@ -275,7 +275,7 @@ class TestPublish:
             tmp_path / "t", {"bin/hello": "#!/bin/sh\n"}, executables=("bin/hello",)
         )
         tx = repo.begin_transaction()
-        repo.stage(tx, tree, "x86_64/linux/sitea/hello/1.0")
+        repo.stage(tx, tree, "x86_64/linux/sitea/hello/1.0", tmp_path)
         head = repo.publish(tx, "job-1")
         entries = catalog_entries(repo, head)
         entry = entries["x86_64/linux/sitea/hello/1.0/bin/hello"]
@@ -286,7 +286,7 @@ class TestPublish:
         for i in range(5):
             tree = make_tree(tmp_path / f"t{i}", {"f": f"content {i}"})
             tx = repo.begin_transaction()
-            repo.stage(tx, tree, "data")
+            repo.stage(tx, tree, "data", tmp_path)
             repo.publish(tx, f"job-{i}")
         head = repo.read_head()
         assert head.revision == 5
@@ -296,12 +296,12 @@ class TestPublish:
     def test_dedup_identical_publish_adds_zero_objects(self, repo, tmp_path):
         tree = make_tree(tmp_path / "t", {"bin/app": "payload", "lib/l.so": "lib"})
         tx = repo.begin_transaction()
-        repo.stage(tx, tree, "apps/demo")
+        repo.stage(tx, tree, "apps/demo", tmp_path)
         repo.publish(tx, "job-1")
         before = object_files(repo)
 
         tx = repo.begin_transaction()
-        repo.stage(tx, tree, "apps/demo")
+        repo.stage(tx, tree, "apps/demo", tmp_path)
         head = repo.publish(tx, "job-2")
         after = object_files(repo)
 
@@ -312,12 +312,12 @@ class TestPublish:
     def test_previous_content_carried_forward(self, repo, tmp_path):
         first = make_tree(tmp_path / "a", {"f": "one"})
         tx = repo.begin_transaction()
-        repo.stage(tx, first, "apps/one")
+        repo.stage(tx, first, "apps/one", tmp_path)
         repo.publish(tx, "job-1")
 
         second = make_tree(tmp_path / "b", {"g": "two"})
         tx = repo.begin_transaction()
-        repo.stage(tx, second, "apps/two")
+        repo.stage(tx, second, "apps/two", tmp_path)
         head = repo.publish(tx, "job-2")
         paths = set(catalog_entries(repo, head))
         assert {"apps/one/f", "apps/two/g", ".revision"} <= paths
@@ -326,13 +326,13 @@ class TestPublish:
         tree = make_tree(tmp_path / "t", {"bin/a": "a", "bin/b": "b", "lib/c": "c"})
         make_tree(tmp_path / "other", {"f": "kept"})
         tx = repo.begin_transaction()
-        repo.stage(tx, tree, "apps/d")
-        repo.stage(tx, tmp_path / "other", "apps/other")
+        repo.stage(tx, tree, "apps/d", tmp_path)
+        repo.stage(tx, tmp_path / "other", "apps/other", tmp_path)
         repo.publish(tx, "job-1")
 
         (tree / "bin" / "b").unlink()
         tx = repo.begin_transaction()
-        repo.stage(tx, tree, "apps/d")
+        repo.stage(tx, tree, "apps/d", tmp_path)
         head = repo.publish(tx, "job-2")
         paths = set(catalog_entries(repo, head))
         assert paths == {"apps/d/bin/a", "apps/d/lib/c", "apps/other/f", ".revision"}
@@ -343,7 +343,7 @@ class TestPublish:
         (tree / "bin" / "x").write_text("x")
         (tree / "var" / "empty").mkdir(parents=True)
         tx = repo.begin_transaction()
-        repo.stage(tx, tree, "apps/d")
+        repo.stage(tx, tree, "apps/d", tmp_path)
         head = repo.publish(tx, "job-1")
         entries = catalog_entries(repo, head)
         assert entries["apps/d/var/empty"].mode == "directory"
@@ -354,7 +354,7 @@ class TestPublish:
         (tmp_path / "t").mkdir()
         (tmp_path / "t" / "big").write_bytes(data)
         tx = repo.begin_transaction()
-        repo.stage(tx, tmp_path / "t", "apps")
+        repo.stage(tx, tmp_path / "t", "apps", tmp_path)
         head = repo.publish(tx, "job-1")
         entry = catalog_entries(repo, head)["apps/big"]
         assert entry.object == ObjectRef(sha256_hex(data), len(data))
@@ -366,7 +366,7 @@ class TestPublish:
         tree = make_tree(tmp_path / "t", {"x\x1cy": "one"})
         for job in ("job-1", "job-2"):
             tx = repo.begin_transaction()
-            repo.stage(tx, tree, "apps")
+            repo.stage(tx, tree, "apps", tmp_path)
             head = repo.publish(tx, job)
         assert set(catalog_entries(repo, head)) == {
             "apps/x\x1cy", ".revision"
@@ -392,37 +392,37 @@ class TestFileParentCollision:
     def test_tree_below_a_published_file(self, repo, tmp_path):
         (tmp_path / "a").write_text("file")
         tx = repo.begin_transaction()
-        repo.stage(tx, tmp_path / "a", "a")
+        repo.stage(tx, tmp_path / "a", "a", tmp_path)
         repo.publish(tx, "job-1")
 
         tree = make_tree(tmp_path / "t", {"y": "below"})
         tx = repo.begin_transaction()
-        repo.stage(tx, tree, "a/b")
+        repo.stage(tx, tree, "a/b", tmp_path)
         self.assert_rejected(repo, tx)
 
     def test_file_and_tree_below_it_in_one_transaction(self, repo, tmp_path):
         (tmp_path / "a").write_text("file")
         tree = make_tree(tmp_path / "t", {"y": "below"})
         tx = repo.begin_transaction()
-        repo.stage(tx, tmp_path / "a", "a")
-        repo.stage(tx, tree, "a/b")
+        repo.stage(tx, tmp_path / "a", "a", tmp_path)
+        repo.stage(tx, tree, "a/b", tmp_path)
         self.assert_rejected(repo, tx)
 
     def test_tree_at_the_revision_prefix(self, repo, tmp_path):
         tree = make_tree(tmp_path / "t", {"x": "below"})
         tx = repo.begin_transaction()
-        repo.stage(tx, tree, ".revision")
+        repo.stage(tx, tree, ".revision", tmp_path)
         self.assert_rejected(repo, tx)
 
     def test_empty_directory_may_be_a_parent(self, repo, tmp_path):
         (tmp_path / "t" / "e").mkdir(parents=True)
         tx = repo.begin_transaction()
-        repo.stage(tx, tmp_path / "t", "a")
+        repo.stage(tx, tmp_path / "t", "a", tmp_path)
         repo.publish(tx, "job-1")
 
         tree = make_tree(tmp_path / "u", {"y": "below"})
         tx = repo.begin_transaction()
-        repo.stage(tx, tree, "a/e/b")
+        repo.stage(tx, tree, "a/e/b", tmp_path)
         head = repo.publish(tx, "job-2")
         entries = catalog_entries(repo, head)
         assert entries["a/e"].mode == "directory"
@@ -433,7 +433,7 @@ class TestStoreFailure:
     def test_failed_publish_keeps_head_and_transaction(self, repo, tmp_path, monkeypatch):
         tree = make_tree(tmp_path / "t", {"a": "content"})
         tx = repo.begin_transaction()
-        repo.stage(tx, tree, "apps")
+        repo.stage(tx, tree, "apps", tmp_path)
         before = repo.read_head()
 
         original = Store.put_bytes
@@ -458,7 +458,7 @@ class TestStoreFailure:
         tree.mkdir()
         (tree / "f").write_bytes(big)
         tx = repo.begin_transaction()
-        repo.stage(tx, tree, "apps")
+        repo.stage(tx, tree, "apps", tmp_path)
         (tree / "f").write_bytes(big[:-1] + b"b")
         head = repo.publish(tx, "job-x")
         ref = catalog_entries(repo, head)["apps/f"].object
@@ -542,10 +542,10 @@ def test_fault_at_every_replace_of_a_publish(tmp_path, monkeypatch):
         k += 1
         repo = Repository.init(tmp_path / f"repo-{k}")
         tx = repo.begin_transaction()
-        repo.stage(tx, tmp_path / "v1", "apps")
+        repo.stage(tx, tmp_path / "v1", "apps", tmp_path)
         before = repo.publish(tx, "job-1")
         tx = repo.begin_transaction()
-        repo.stage(tx, tmp_path / "v2", "apps")
+        repo.stage(tx, tmp_path / "v2", "apps", tmp_path)
         calls = []
         with monkeypatch.context() as m:
             m.setattr(repo_mod, "os", Faulty(os, ("replace",), calls, k))
@@ -616,7 +616,7 @@ def test_staged_catalog_equals_the_hashes_of_the_files(transactions):
             oracle = {p: e for p, e in oracle.items() if p.split("/")[0] not in prefixes}
             tx = repo.begin_transaction()
             for prefix in prefixes:
-                repo.stage(tx, tree, prefix)
+                repo.stage(tx, tree, prefix, root)
                 for rel in files:
                     ref = ObjectRef(*hash_file(tree / rel))
                     oracle[f"{prefix}/{rel}"] = CatalogEntry(f"{prefix}/{rel}", "file", ref)
@@ -629,6 +629,123 @@ def test_staged_catalog_equals_the_hashes_of_the_files(transactions):
             data = repo.object_path(entry.object.sha256).read_bytes()
             assert ObjectRef(sha256_hex(data), len(data)) == entry.object
         assert repo.verify().ok
+
+
+# Spots in a delivered prefix, named so that sorting by path string and by
+# path components differ ("a.b" sorts before "a/x", and after "a"), and what
+# each may be, the kinds staging accepts more often than the others. A
+# link's target is below the deploy root ({root}), beside it ({outside}, or
+# {root}-x, whose name starts with the root's) or the link itself.
+TREE_SPOTS = ("a", "a.b", "a/x", "a/x/y", "a.b/z", "b")
+TREE_KINDS = ("file", "file", "executable", "directory", "directory", "link", "link", "fifo")
+LINK_TARGETS = (
+    "{root}/q/file", "{root}/p/a", "{root}/p/b", "{root}/p/a/x/y", "{root}/q/dir",
+    "{root}/q/fifo", "{root}/q/out", "{root}/p", "{root}/missing", "{outside}/f",
+    "{outside}/d", "{root}-x/f", "{self}",
+)
+
+
+def make_deploy_tree(base: Path, source_kind: str, nodes) -> tuple[Path, Path]:
+    """A deploy root holding the prefix ``p`` that ``nodes`` describe, and
+    the things links point at; returns the root, through a link if
+    ``source_kind`` asks, and the prefix."""
+    real_root, outside = base / "deploy", base / "outside"
+    for d in (real_root / "q" / "dir", outside / "d", base / "deploy-x"):
+        d.mkdir(parents=True)
+    for f in (real_root / "q" / "file", outside / "f", base / "deploy-x" / "f"):
+        f.write_text(f.name)
+    os.mkfifo(real_root / "q" / "fifo")
+    (real_root / "q" / "out").symlink_to(outside / "f")
+    root = real_root
+    if source_kind == "linked root":
+        root = base / "deploy-link"
+        root.symlink_to(real_root)
+    source = root / "p"
+    if source_kind == "outside":
+        source.symlink_to(outside / "d")
+    if source_kind in ("outside", "missing"):
+        return root, source
+    source.mkdir()
+    for spot, kind, target, relative in nodes:
+        path = source / spot
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if kind in ("file", "executable"):
+                path.write_text(spot)
+                path.chmod(0o755 if kind == "executable" else 0o644)
+            elif kind == "directory":
+                path.mkdir()
+            elif kind == "fifo":
+                os.mkfifo(path)
+            else:
+                target = target.format(root=real_root, outside=outside, self=path)
+                path.symlink_to(os.path.relpath(target, path.parent) if relative else target)
+        except OSError:  # the spot or its parent is taken by an earlier node
+            continue
+    return root, source
+
+
+def resolve_oracle(source: Path, prefix: str, root: Path):
+    """What staging ``source`` should do, by ``Path.resolve(strict=True)``:
+    (mode, sha256) by repository path of everything before the first path it
+    must refuse, and that path's repository path (None if there is none)."""
+    real_root = root.resolve()
+    staged = {}
+    paths = [source] + sorted(source.rglob("*")) if source.is_dir() else [source]
+    for path in paths:
+        repo_path = "/".join([prefix, *path.relative_to(source).parts])
+        try:
+            real = path.resolve(strict=True)
+        except (OSError, RuntimeError):  # RuntimeError: a symlink loop
+            return staged, repo_path
+        if not real.is_relative_to(real_root):
+            return staged, repo_path
+        if real.is_dir():
+            if path.is_symlink() and path != source:
+                return staged, repo_path
+            if path != source and not any(path.iterdir()):
+                staged[repo_path] = ("directory", "")
+        elif real.is_file():
+            mode = "executable" if os.access(path, os.X_OK) else "file"
+            staged[repo_path] = (mode, hash_file(path)[0])
+        else:
+            return staged, repo_path
+    return staged, None
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    source_kind=st.sampled_from(("directory", "directory", "linked root", "missing", "outside")),
+    nodes=st.lists(
+        st.tuples(
+            st.sampled_from(TREE_SPOTS),
+            st.sampled_from(TREE_KINDS),
+            st.sampled_from(LINK_TARGETS),
+            st.booleans(),
+        ),
+        max_size=6,
+        unique_by=lambda node: node[0],
+    ),
+)
+def test_stage_agrees_with_resolve(source_kind, nodes):
+    """Staging a generated deploy tree stages exactly what the oracle
+    accepts, or refuses its first bad path in walk order, and raises
+    nothing else."""
+    with tempfile.TemporaryDirectory() as scratch:
+        base = Path(scratch)
+        root, source = make_deploy_tree(base, source_kind, nodes)
+        staged, bad = resolve_oracle(source, "p", root)
+        repo = Repository.init(base / "repo")
+        tx = repo.begin_transaction()
+        try:
+            repo.stage(tx, source, "p", root)
+        except InvariantViolation as exc:
+            assert bad is not None and str(exc).startswith(f"cannot stage {bad}: "), str(exc)
+        else:
+            assert bad is None
+            assert {p: (s.mode, s.sha256) for p, s in tx.staged.items()} == staged
+        finally:
+            repo.abort(tx)
 
 
 def io_counts() -> tuple[int, int]:
@@ -648,7 +765,7 @@ def test_each_new_byte_is_hashed_and_written_once(repo, tmp_path):
     slack = 16 << 10  # HEAD, the catalog and .revision
     tx = repo.begin_transaction()
     read0, written0 = io_counts()
-    repo.stage(tx, tree, "apps")
+    repo.stage(tx, tree, "apps", tmp_path)
     head = repo.publish(tx, "job-1")
     read1, written1 = io_counts()
     assert len({e.object for p, e in catalog_entries(repo, head).items() if p != ".revision"}) == 2
@@ -674,7 +791,7 @@ class TestCanonicalCatalog:
     def test_sorted_by_path_bytes(self, repo, tmp_path):
         make_tree(tmp_path / "t", {"b": "1", "a": "2"})
         tx = repo.begin_transaction()
-        repo.stage(tx, tmp_path / "t", "apps")
+        repo.stage(tx, tmp_path / "t", "apps", tmp_path)
         head = repo.publish(tx, "job-1")
         lines = repo.catalogs.path(head.root_catalog.sha256).read_bytes().splitlines()
         assert [line.split(b"\t")[0] for line in lines] == [b".revision", b"apps/a", b"apps/b"]
@@ -685,7 +802,7 @@ class TestCanonicalCatalog:
             repo = Repository.init(tmp_path / sub)
             tree = make_tree(tmp_path / f"tree-{sub}", {"bin/x": "same bytes"})
             tx = repo.begin_transaction()
-            repo.stage(tx, tree, "apps/demo")
+            repo.stage(tx, tree, "apps/demo", tmp_path)
             head = repo.publish(tx, "job")
             trees.append(repo.catalogs.path(head.root_catalog.sha256).read_bytes())
         assert trees[0] == trees[1]
@@ -695,7 +812,7 @@ class TestVerify:
     def test_clean_repo_verifies(self, repo, tmp_path):
         tree = make_tree(tmp_path / "t", {"a": "x", "b": "y"})
         tx = repo.begin_transaction()
-        repo.stage(tx, tree, "apps")
+        repo.stage(tx, tree, "apps", tmp_path)
         repo.publish(tx, "job-1")
         report = repo.verify()
         assert report.ok
@@ -704,7 +821,7 @@ class TestVerify:
     def test_bit_flip_reports_exactly_that_object(self, repo, tmp_path):
         tree = make_tree(tmp_path / "t", {"a": "aaaa", "b": "bbbb"})
         tx = repo.begin_transaction()
-        repo.stage(tx, tree, "apps")
+        repo.stage(tx, tree, "apps", tmp_path)
         head = repo.publish(tx, "job-1")
         victim = catalog_entries(repo, head)["apps/a"].object.sha256
         blob = repo.object_path(victim)
@@ -717,7 +834,7 @@ class TestVerify:
     def test_missing_object_reported(self, repo, tmp_path):
         tree = make_tree(tmp_path / "t", {"a": "gone"})
         tx = repo.begin_transaction()
-        repo.stage(tx, tree, "apps")
+        repo.stage(tx, tree, "apps", tmp_path)
         head = repo.publish(tx, "job-1")
         sha = catalog_entries(repo, head)["apps/a"].object.sha256
         repo.object_path(sha).unlink()
@@ -739,7 +856,7 @@ class TestVerify:
     def test_problems_list_each_problem_once(self, repo, tmp_path):
         tree = make_tree(tmp_path / "t", {"a": "aaaa", "b": "bbbb"})
         tx = repo.begin_transaction()
-        repo.stage(tx, tree, "apps")
+        repo.stage(tx, tree, "apps", tmp_path)
         head = repo.publish(tx, "job-1")
         assert repo.verify().problems() == []
         entries = catalog_entries(repo, head)
@@ -773,7 +890,7 @@ class TestConcurrentReaders:
             for i in range(30):
                 tree = make_tree(tmp_path / f"t{i}", {"f": f"gen {i}"})
                 tx = repo.begin_transaction()
-                repo.stage(tx, tree, "apps/demo")
+                repo.stage(tx, tree, "apps/demo", tmp_path)
                 repo.publish(tx, f"job-{i}")
         finally:
             stop.set()

@@ -316,7 +316,7 @@ def publish_files(repo, src, files, executables=(), empty_dirs=(), job="job"):
         if rel in executables:
             path.chmod(0o755)
     tx = repo.begin_transaction()
-    repo.stage(tx, src, "apps/demo")
+    repo.stage(tx, src, "apps/demo", src)
     return repo.publish(tx, job)
 
 
@@ -549,7 +549,7 @@ def test_emptied_directory_that_stays_in_the_catalog_is_kept(tmp_path):
         for rel, content in files.items():
             (sub / rel).write_text(content)
         tx = repo.begin_transaction()
-        repo.stage(tx, sub, "apps/demo/var/empty/sub")
+        repo.stage(tx, sub, "apps/demo/var/empty/sub", tmp_path)
         return repo.publish(tx, job)
 
     heads = [publish_sub({"f": "f"}, "job-2"), publish_sub({"f": "f", "g": "g"}, "job-3")]
@@ -623,7 +623,7 @@ def test_sync_writes_each_delivered_byte_once(tmp_path):
         (src / rel).write_bytes(payload)
     (src / "bin/tool").chmod(0o755)
     tx = repo.begin_transaction()
-    repo.stage(tx, src, "apps/demo")
+    repo.stage(tx, src, "apps/demo", tmp_path)
     head = repo.publish(tx, "job")
     cache = SiteCache(repo.path, tmp_path / "cache")
     before = proc_wchar()

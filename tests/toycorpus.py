@@ -360,7 +360,7 @@ def deliver_and_publish(ws: Workspace, changed_paths, event_id="evt-pub"):
     repo = Repository.init(config.repo_path)
     tx = repo.begin_transaction()
     for source, repo_prefix in report.publication.stages:
-        repo.stage(tx, source, repo_prefix)
+        repo.stage(tx, source, repo_prefix, config.deploy_root)
     head = repo.publish(tx, report.publication.job_id)
     return config, corpus, graph, head
 
