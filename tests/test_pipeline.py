@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import collections
 import errno
+import itertools
 import json
 import os
 import signal
@@ -874,3 +875,84 @@ def test_skip_reason_names_the_first_failed_dependency_in_key_order(tmp_path):
     assert outcomes["app"].reason == "dependency liba/1.0 not delivered"
     assert outcomes["viewer"].reason == "dependency liba/1.0 not delivered"
     assert report.publication is None
+
+
+def refusal_of(repo, path, root):
+    """The reason staging ``path`` on its own at ``p`` is refused for the
+    source itself, or None: staging is the one escape check of a payload."""
+    tx = repo.begin_transaction()
+    try:
+        repo.stage(tx, path, "p", root)
+    except InvariantViolation as exc:
+        message = str(exc)
+        return message.removeprefix("cannot stage p: ") if message.startswith("cannot stage p: ") else None
+    finally:
+        repo.abort(tx)
+    return None
+
+
+# Symlinks at several depths of a deploy tree, pointing inside it, out of it
+# (also to a sibling whose name starts with the tree's), up through it and
+# nowhere. Relative targets are read from the link's directory.
+LINK_SPOTS = ("d1", "a/d2", "a/b/d3", "a/b/c/d4")
+LINK_TARGETS = (
+    "a", "c", "..", "../..", "../outside", "missing", "{root}", "{root}/a/b", "{outside}",
+    "{root}-x",
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    links=st.dictionaries(st.sampled_from(LINK_SPOTS), st.sampled_from(LINK_TARGETS), max_size=3),
+    linked_root=st.booleans(),
+)
+def test_escaping_paths_agrees_with_resolve(links, linked_root):
+    """Staging refuses a payload source as escaping exactly when
+    ``Path.resolve`` places it outside the deploy root, and refuses a source
+    that does not exist as missing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        real_root, outside = base / "deploy", base / "outside"
+        (real_root / "a/b/c").mkdir(parents=True)
+        (outside / "b").mkdir(parents=True)
+        (base / "deploy-x" / "b").mkdir(parents=True)
+        root = real_root
+        if linked_root:  # the deploy root itself reached through a symlink
+            root = base / "deploy-link"
+            root.symlink_to(real_root)
+        for spot, target in links.items():
+            (real_root / spot).symlink_to(target.format(root=real_root, outside=outside))
+        components = itertools.product(("a", "d1", ".."), ("b", "d2"), ("c", "d3", "x"), ("d4", "f"))
+        paths = [
+            root.joinpath(*prefix)
+            for prefix in sorted({parts[:n] for parts in components for n in range(1, 5)})
+        ]
+        paths += [outside / "b", base / "deploy" / "a", root / "a" / ".." / ".." / "outside"]
+        paths += [base / "deploy-x" / "b"]
+        repo = Repository.init(base / "repo")
+        for path in paths:
+            if path.exists():
+                escapes = not path.resolve().is_relative_to(root.resolve())
+                expected = f"resolves outside {root}" if escapes else None
+            else:
+                expected = os.strerror(errno.ENOENT)
+            assert refusal_of(repo, path, root) == expected, path
+
+
+def test_escaping_paths_counts_a_symlink_loop_as_escaping(tmp_path):
+    root = tmp_path / "deploy"
+    (root / "x" / "ok").mkdir(parents=True)
+    (root / "x" / "loop").symlink_to("loop")
+    (root / "x" / "pair").symlink_to("loop")
+    paths = [
+        root / "x" / "ok",
+        root / "x" / "loop",
+        root / "x" / "loop" / "a",
+        root / "x" / "pair" / "a",
+        root / "x" / ".." / "x" / "loop",
+        root / "x" / "missing",
+    ]
+    repo = Repository.init(tmp_path / "repo")
+    refusals = [refusal_of(repo, path, root) for path in paths]
+    loop = os.strerror(errno.ELOOP)
+    assert refusals == [None, loop, loop, loop, loop, os.strerror(errno.ENOENT)]
