@@ -2,14 +2,17 @@
 
 Exit codes: 0 success (publication happened or the plan was empty), 1 at
 least one job failed (for ``verify``: the repository or site cache has a
-problem), 2 configuration or usage error.
+problem), 2 configuration or usage error; ``run`` stopped by SIGINT exits
+130, by SIGTERM 143.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import logging
+import signal
 import sys
+import threading
 from pathlib import Path
 
 from . import depgraph, pipeline, recipes, repo as repo_mod, siteclient
@@ -30,6 +33,8 @@ log = logging.getLogger(__name__)
 EXIT_OK = 0
 EXIT_JOB_FAILURE = 1
 EXIT_CONFIG = 2
+EXIT_INTERRUPTED = 128 + signal.SIGINT
+EXIT_TERMINATED = 128 + signal.SIGTERM
 
 PUBLICATION_MANIFEST = "publication.json"
 LAST_RUN_REPORT = "last-run.txt"
@@ -76,7 +81,7 @@ def _publish(config, request: pipeline.PublicationRequest) -> repo_mod.RepoHead:
         for source, repo_prefix in request.stages:
             repo.stage(tx, Path(source), repo_prefix, config.deploy_root)
         return repo.publish(tx, request.job_id)
-    except Exception:
+    except BaseException:  # an interrupt too must not keep the writer lock
         repo.abort(tx)
         raise
 
@@ -123,7 +128,34 @@ def _event_path(args) -> Path:
     return event_path
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised in the main thread as SIGINT raises KeyboardInterrupt."""
+
+
+def _raise_terminated(signum, frame):
+    raise _Terminated
+
+
 def cmd_run(args) -> int:
+    """Run the event or spool; SIGINT or SIGTERM stops it with exit 130 or
+    143, leaving the event it was running pending."""
+    main_thread = threading.current_thread() is threading.main_thread()
+    if main_thread:  # only the main thread may set a handler
+        previous = signal.signal(signal.SIGTERM, _raise_terminated)
+    try:
+        return _run_events(args)
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
+    except _Terminated:
+        print("error: terminated", file=sys.stderr)
+        return EXIT_TERMINATED
+    finally:
+        if main_thread:
+            signal.signal(signal.SIGTERM, previous)
+
+
+def _run_events(args) -> int:
     config = load_config(args.config)
     corpus, graph, runner = _build_runner(config)
     event_path = _event_path(args)
@@ -324,7 +356,13 @@ def _seconds(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("run", "validate", "resolve", "status", "verify", "publish", "sync", "mve")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``rade`` parser. Given one of :data:`COMMANDS`, it holds that
+    subcommand alone, which parses the command's arguments as the full
+    parser does; only the full parser can report an error above them."""
     parser = argparse.ArgumentParser(
         prog="rade",
         description="Commit-triggered build/test/deliver pipeline with a "
@@ -336,65 +374,92 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run", parents=[common], help="process a commit event end to end")
-    p.add_argument("--event", required=True, help="event file or spool directory")
-    p.set_defaults(func=cmd_run)
+    def wanted(name: str) -> bool:
+        return command is None or command == name
 
-    p = sub.add_parser(
-        "validate", parents=[common], help="parse every manifest and build the graph"
-    )
-    p.set_defaults(func=cmd_validate)
+    if wanted("run"):
+        p = sub.add_parser("run", parents=[common], help="process a commit event end to end")
+        p.add_argument("--event", required=True, help="event file or spool directory")
+        p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("resolve", parents=[common], help="print the build plan for an event")
-    p.add_argument("--event", required=True)
-    p.set_defaults(func=cmd_resolve)
+    if wanted("validate"):
+        p = sub.add_parser(
+            "validate", parents=[common], help="parse every manifest and build the graph"
+        )
+        p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser(
-        "status", parents=[common], help="show the last run report and repo head"
-    )
-    p.set_defaults(func=cmd_status)
+    if wanted("resolve"):
+        p = sub.add_parser(
+            "resolve", parents=[common], help="print the build plan for an event"
+        )
+        p.add_argument("--event", required=True)
+        p.set_defaults(func=cmd_resolve)
 
-    p = sub.add_parser(
-        "verify",
-        parents=[common],
-        help="re-hash every stored object and check the head's closure",
-    )
-    p.add_argument(
-        "--cache",
-        default=None,
-        help="verify this site cache's objects and live tree instead",
-    )
-    p.set_defaults(func=cmd_verify)
+    if wanted("status"):
+        p = sub.add_parser(
+            "status", parents=[common], help="show the last run report and repo head"
+        )
+        p.set_defaults(func=cmd_status)
 
-    p = sub.add_parser(
-        "publish", parents=[common], help="re-publish the last successful run"
-    )
-    p.set_defaults(func=cmd_publish)
+    if wanted("verify"):
+        p = sub.add_parser(
+            "verify",
+            parents=[common],
+            help="re-hash every stored object and check the head's closure",
+        )
+        p.add_argument(
+            "--cache",
+            default=None,
+            help="verify this site cache's objects and live tree instead",
+        )
+        p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("sync", help="sync a site cache from the repository")
-    p.add_argument("--repo", required=True)
-    p.add_argument("--cache", required=True)
-    p.add_argument("--interval", type=_seconds, default=1.0, help="poll interval seconds")
-    p.add_argument("--attempts", type=int, default=1, help="poll attempts before giving up")
-    p.set_defaults(func=cmd_sync)
+    if wanted("publish"):
+        p = sub.add_parser(
+            "publish", parents=[common], help="re-publish the last successful run"
+        )
+        p.set_defaults(func=cmd_publish)
 
-    p = sub.add_parser(
-        "mve", parents=[common], help="run a delivered recipe's researcher tests"
-    )
-    p.add_argument("recipe", help="<name>/<version>")
-    p.add_argument("--target", required=True, help="<arch>-<os>-<site>")
-    p.add_argument("--cache", required=True)
-    p.add_argument("--repo", default=None, help="repository (default: config repo_path)")
-    p.set_defaults(func=cmd_mve)
+    if wanted("sync"):
+        p = sub.add_parser("sync", help="sync a site cache from the repository")
+        p.add_argument("--repo", required=True)
+        p.add_argument("--cache", required=True)
+        p.add_argument("--interval", type=_seconds, default=1.0, help="poll interval seconds")
+        p.add_argument("--attempts", type=int, default=1, help="poll attempts before giving up")
+        p.set_defaults(func=cmd_sync)
+
+    if wanted("mve"):
+        p = sub.add_parser(
+            "mve", parents=[common], help="run a delivered recipe's researcher tests"
+        )
+        p.add_argument("recipe", help="<name>/<version>")
+        p.add_argument("--target", required=True, help="<arch>-<os>-<site>")
+        p.add_argument("--cache", required=True)
+        p.add_argument("--repo", default=None, help="repository (default: config repo_path)")
+        p.set_defaults(func=cmd_mve)
 
     return parser
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse a command line, building only the parser of the command it runs.
+
+    The full parser takes over when there is no command, an unknown one or
+    an option before it, and for arguments the command's parser leaves
+    over, so every help, usage and error text is the full parser's."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in COMMANDS:
+        args, extra = build_parser(argv[0]).parse_known_args(argv)
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     logging.basicConfig(
         level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s"
     )
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

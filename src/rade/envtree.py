@@ -10,11 +10,18 @@ import os
 import select
 import signal
 import subprocess
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 from .depgraph import DependencyGraph, build_order
-from .errors import EmptyInstallation, InvariantViolation, MissingDependencyInstallation
+from .errors import (
+    EmptyInstallation,
+    InvariantViolation,
+    MissingDependencyInstallation,
+    ScriptsStopped,
+)
 from .targets import Target
 
 INTEGRATION = "integration"
@@ -115,6 +122,20 @@ def script_argv(script: Path) -> list[str]:
     return [str(script)] if os.access(script, os.X_OK) else ["/bin/sh", str(script)]
 
 
+# The pids of the scripts running now, kept for the whole process because an
+# interrupt is delivered to the whole process. Until a script is reaped its
+# pid names its process group, and no other, so a pid leaves the set before
+# its reap.
+_live: set[int] = set()
+_live_lock = threading.Lock()
+_stopping = False  # while set, no script starts
+
+
+def _refuse_if_stopping() -> None:
+    if _stopping:
+        raise ScriptsStopped("not started: the run is being stopped")
+
+
 def run_script(argv, env, cwd, timeout_s, stdout, stderr) -> int | None:
     """Run ``argv`` and return its exit status, or kill it and return None
     once it has run for ``timeout_s`` seconds.
@@ -122,14 +143,20 @@ def run_script(argv, env, cwd, timeout_s, stdout, stderr) -> int | None:
     The wait is a ``poll`` on the child's pidfd (Linux >= 5.3), so the exit
     is seen as it happens; ``subprocess.run(timeout=...)`` would see it only
     at its next ``waitpid`` after a growing sleep. The child starts a session
-    of its own, so a timeout, or an error from ``pidfd_open`` or from the
-    wait, kills every process the script started with it; the child is
-    reaped on every path.
+    of its own, so a timeout, an error from ``pidfd_open`` or from the wait,
+    or :func:`scripts_stopped` kills every process the script started with
+    it; the child is reaped on every path. Inside :func:`scripts_stopped` no
+    script starts: ScriptsStopped is raised instead.
     """
+    _refuse_if_stopping()
     proc = subprocess.Popen(
         argv, stdout=stdout, stderr=stderr, env=env, cwd=cwd, start_new_session=True
     )
+    exited = False
     try:
+        with _live_lock:
+            _refuse_if_stopping()  # a stop that came while it started
+            _live.add(proc.pid)
         pidfd = os.pidfd_open(proc.pid)
         try:
             poller = select.poll()
@@ -137,16 +164,28 @@ def run_script(argv, env, cwd, timeout_s, stdout, stderr) -> int | None:
             exited = bool(poller.poll(timeout_s * 1000))
         finally:
             os.close(pidfd)
-    except BaseException:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.wait()
-        raise
-    if exited:
-        return proc.wait()
-    # until the child is reaped its pid names its group, and no other
-    os.killpg(proc.pid, signal.SIGKILL)
-    proc.wait()
-    return None
+    finally:
+        with _live_lock:
+            _live.discard(proc.pid)
+        if not exited:
+            os.killpg(proc.pid, signal.SIGKILL)
+        returncode = proc.wait()
+    return returncode if exited else None
+
+
+@contextmanager
+def scripts_stopped():
+    """Kill the process group of every running script, and start no script
+    until the body ends."""
+    global _stopping
+    with _live_lock:
+        _stopping = True
+        for pid in _live:
+            os.killpg(pid, signal.SIGKILL)
+    try:
+        yield
+    finally:
+        _stopping = False
 
 
 # The three directive forms the rendered template can contain; the site client

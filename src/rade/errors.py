@@ -81,6 +81,10 @@ class DeliverFailed(RadeError):
     """Deliver phase (clean rebuild, deploy install, modulefile) failed."""
 
 
+class ScriptsStopped(RadeError):
+    """A script was not started, because the run is being interrupted."""
+
+
 # --- environment trees ---
 
 

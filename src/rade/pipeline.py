@@ -43,8 +43,16 @@ from .errors import (
     SourceUnavailable,
     TestFailed,
 )
-from .recipes import CommitEvent, Corpus, Recipe, changed_recipes
-from .repo import copy_verified, hash_file
+from .recipes import (
+    CommitEvent,
+    Corpus,
+    Recipe,
+    _clock,
+    _settled,
+    _signature,
+    changed_recipes,
+)
+from .repo import copy_verified, hash_file, write_atomic
 from .targets import MatrixConfig, Target, expand, target_id
 
 log = logging.getLogger(__name__)
@@ -155,6 +163,18 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
+SOURCE_RECORD_FORMAT = "rade-source-record/1"
+
+
+def _record_line(sha256: str, st: os.stat_result) -> bytes:
+    """The record of a local source copy that hashed to ``sha256`` and had
+    the stat signature of ``st``, ``(st_mtime_ns, st_ctime_ns, st_size,
+    st_ino)``. A record vouches only for the file that now has exactly that
+    signature; the inode number tells two files of a directory apart."""
+    signature = " ".join(map(str, _signature(st)))
+    return f"{SOURCE_RECORD_FORMAT} {sha256} {signature}\n".encode("ascii")
+
+
 def plan(
     event: CommitEvent,
     corpus: Corpus,
@@ -255,9 +275,21 @@ class JobRunner:
     def _source_dir(self, job: Job) -> Path:
         return self.workdir / "sources" / f"{job.name}-{job.version}"
 
+    def _source_record(self, job: Job) -> Path:
+        # a recipe name starts with a letter or digit, so no source
+        # directory's name starts with a dot
+        return self.workdir / "sources" / f".{job.name}-{job.version}.verified"
+
     def _fetch_source(self, job: Job) -> Path:
-        """Copy the recipe's source bundle locally and verify its checksum."""
+        """Copy the recipe's source bundle locally and verify its checksum.
+
+        A local copy is not hashed again while its record (see
+        :func:`_record_line`) vouches for it. A copy that hashes to the
+        declared sha256 gets a record if its signature is older than a clock
+        reading taken before the hash, as the corpus index's entries do.
+        """
         recipe = self._recipe(job)
+        sha256 = recipe.source.sha256
         url = recipe.source.url
         if not url.startswith("file://"):
             raise SourceUnavailable(f"unsupported source url scheme: {url}")
@@ -267,12 +299,25 @@ class JobRunner:
         dest_dir = self._source_dir(job)
         dest_dir.mkdir(parents=True, exist_ok=True)
         dest = dest_dir / origin.name
-        if dest.is_file() and hash_file(dest)[0] == recipe.source.sha256:
+        record = self._source_record(job)
+        try:
+            if record.read_bytes() == _record_line(sha256, os.stat(dest)):
+                return dest
+        except OSError:  # no record or no copy: hash and fetch as without one
+            pass
+        clock = _clock(dest_dir)
+        if dest.is_file() and hash_file(dest)[0] == sha256:
+            st = os.stat(dest)
+            if _settled(_signature(st), clock):
+                try:
+                    write_atomic(record, _record_line(sha256, st))
+                except OSError:
+                    pass  # the record only saves a hash
             return dest
         # concurrent jobs of one recipe may fetch simultaneously
-        if copy_verified(origin, dest, recipe.source.sha256) is None:
+        if copy_verified(origin, dest, sha256) is None:
             raise SourceChecksumMismatch(
-                f"{origin} does not match declared sha256 {recipe.source.sha256}"
+                f"{origin} does not match declared sha256 {sha256}"
             )
         return dest
 
@@ -428,6 +473,10 @@ class JobRunner:
         dependency in key order, or repeats that one's reason if it never ran
         either, and its log is left empty. The report holds the jobs
         themselves, in plan order.
+
+        An exception in the scheduler, such as a KeyboardInterrupt, cancels
+        the jobs not yet started and kills the running jobs' scripts (see
+        :func:`envtree.scripts_stopped`) before it propagates.
         """
         jobs = {
             (name, version, target_id(t)): self.new_job(name, version, t)
@@ -448,17 +497,22 @@ class JobRunner:
         running: dict = {}
 
         with ThreadPoolExecutor(max_workers=width) as pool:
-            while True:
-                for key in sorted(sorter.get_ready()):
-                    running[pool.submit(self.run_job, jobs[key])] = key
-                if not running:
-                    break
-                done, _ = wait(running, return_when=FIRST_COMPLETED)
-                for future in done:
-                    key = running.pop(future)
-                    future.result()
-                    if jobs[key].state == DELIVERED:
-                        sorter.done(key)
+            try:
+                while True:
+                    for key in sorted(sorter.get_ready()):
+                        running[pool.submit(self.run_job, jobs[key])] = key
+                    if not running:
+                        break
+                    done, _ = wait(running, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        key = running.pop(future)
+                        future.result()
+                        if jobs[key].state == DELIVERED:
+                            sorter.done(key)
+            except BaseException:  # e.g. KeyboardInterrupt: stop every job
+                with envtree.scripts_stopped():
+                    pool.shutdown(cancel_futures=True)
+                raise
 
         # the plan lists dependencies first, so a skipped dependency's
         # reason is known before its dependents'

@@ -497,13 +497,10 @@ class CorpusIndex:
             pass  # the index only saves work; the load's result stands
 
     def _serialize(self, edges: frozenset[Edge]) -> bytes:
-        def settled(signatures):  # one or more, one after the other
-            return max(signatures[0::4] + signatures[1::4]) < self._written
-
         kept = {
             rel: (signatures, recipe)
             for rel, (signatures, recipe) in self.recipes.items()
-            if settled(signatures)
+            if _settled(signatures, self._written)
         }
         position = {recipe.key: i for i, (_, recipe) in enumerate(kept.values())}
         shared: dict[tuple, int] = {}
@@ -532,6 +529,13 @@ def _clock(directory: Path) -> int | None:
             return os.fstat(f.fileno()).st_mtime_ns
     except OSError:
         return None
+
+
+def _settled(signatures: list[int], clock: int | None) -> bool:
+    """Whether one or more signatures, one after the other, are all older
+    than the :func:`_clock` reading ``clock``, so that any later change to
+    their files shows in them (git's racy rule)."""
+    return clock is not None and max(signatures[0::4] + signatures[1::4]) < clock
 
 
 def index_corpus(root: Path, scanned) -> Corpus:

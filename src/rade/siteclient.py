@@ -7,6 +7,7 @@ modulefiles contain; it is deliberately not a general modulefile interpreter.
 """
 from __future__ import annotations
 
+import fcntl
 import io
 import os
 import shutil
@@ -85,12 +86,14 @@ class MveReport:
 class SiteCache:
     """Single-writer local mirror of one repository.
 
-    Layout: ``objects/`` holds verified content objects. ``.tree.a`` and
-    ``.tree.b`` are two generations of the materialized catalog, and
-    ``.tree.<x>.catalog`` names the catalog its tree holds (absent while the
-    tree is being changed). ``tree`` is a relative symlink to the live
-    generation and ``head`` the last synced HEAD line. A sync rewrites the
-    spare generation, so a reader must not hold a tree path across two syncs.
+    Layout: ``lock`` is flock-ed by the one running sync, as the
+    repository's is by its one transaction. ``objects/`` holds verified
+    content objects. ``.tree.a`` and ``.tree.b`` are two generations of the
+    materialized catalog, and ``.tree.<x>.catalog`` names the catalog its
+    tree holds (absent while the tree is being changed). ``tree`` is a
+    relative symlink to the live generation and ``head`` the last synced
+    HEAD line. A sync rewrites the spare generation, so a reader must not
+    hold a tree path across two syncs.
     Objects and tree files are read-only. A plain file is a hard link to its
     object, so each delivered byte is written once. An executable needs an
     inode of mode 0555: unchanged ones are shared by both generations, and
@@ -150,11 +153,21 @@ class SiteCache:
         Catalogs are compared as sets of lines, and only the lines that
         differ are parsed. Any digest mismatch raises IntegrityError before a
         tree or the recorded head change, leaving the cache at its previous
-        consistent state.
+        consistent state. One sync at a time changes a cache: a sync holds
+        an exclusive ``flock`` on ``<cache>/lock`` throughout, and another
+        waits for it.
         """
+        self.objects.root.mkdir(parents=True, exist_ok=True)
+        fd = os.open(self.cache_root / "lock", os.O_CREAT | os.O_WRONLY, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            return self._sync(head)
+        finally:
+            os.close(fd)  # which releases the lock
+
+    def _sync(self, head: RepoHead | None) -> SyncReport:
         if head is None:
             head = self.repo.read_head()
-        self.objects.root.mkdir(parents=True, exist_ok=True)
         wanted = set(self.repo.catalog_lines(head.root_catalog.sha256, IntegrityError))
         live = self._live_generation()
         held = self._held(live) or set()

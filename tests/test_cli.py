@@ -4,7 +4,11 @@ import errno
 import json
 import os
 import shutil
+import signal
+import subprocess
+import sys
 import tempfile
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -1075,3 +1079,90 @@ def test_run_any_event_spool(events):
         assert run_cli("verify", "--config", ws.config_path) == 0
         Repository.open(ws.repo_path).read_head()
         assert not recipes.pending_events(ws.spool_dir)
+
+
+# ``rade`` in a child process whose SIGINT raises KeyboardInterrupt, as it
+# does under a terminal, even when the test runner ignores SIGINT.
+RADE_CHILD = (
+    "import signal, sys\n"
+    "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+    "from rade.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+def start_rade(*argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.Popen(
+        [sys.executable, "-c", RADE_CHILD, *map(str, argv)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+
+
+@pytest.mark.parametrize(
+    "signum, code, message",
+    [(signal.SIGINT, 130, "error: interrupted\n"), (signal.SIGTERM, 143, "error: terminated\n")],
+    ids=["SIGINT", "SIGTERM"],
+)
+def test_signal_stops_the_running_scripts(ws, signum, code, message):
+    started, marker = ws.root / "started", ws.root / "late"
+    (ws.corpus_root / "hello" / "1.0" / "build.sh").write_text(
+        f'#!/bin/sh\nm={marker}\ntouch {started}\nsleep 3; echo late > "$m"\n'
+    )
+    event = write_event(ws.spool_dir / "e1.json", "evt-1", ["hello/1.0/build.sh"])
+    proc = start_rade("run", "--config", ws.config_path, "--event", ws.spool_dir)
+    try:
+        deadline = time.monotonic() + 60
+        while not started.exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        began = time.monotonic()
+        proc.send_signal(signum)
+        out, err = proc.communicate(timeout=30)
+        took = time.monotonic() - began
+    finally:
+        proc.kill()
+        proc.communicate()
+    assert (proc.returncode, err) == (code, message)
+    assert took < 1
+    time.sleep(max(0.0, began + 3.5 - time.monotonic()))
+    assert not marker.exists()  # the script's sleep died with it
+    assert recipes.pending_events(ws.spool_dir) == [event]
+
+
+def parser_outcome(parse, argv, capsys):
+    """What parsing ``argv`` printed and how it ended: the exit code, or the
+    parsed arguments."""
+    try:
+        args = parse(argv)
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    else:
+        result = ("parsed", {k: getattr(v, "__name__", v) for k, v in vars(args).items()})
+    return result, capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["--help"], ["bogus"], ["-h", "run"]]
+    + [[command, "--help"] for command in cli.COMMANDS]
+    + [[command] for command in cli.COMMANDS]  # required arguments missing
+    + [[command, "--bogus"] for command in cli.COMMANDS]  # left over for the top level
+    + [
+        ["sync", "--repo", "r", "--cache", "c", "--interval", "-1"],
+        ["mve", "a/1", "b/1", "--target", "t", "--cache", "c"],
+        ["run", "--config", "c", "--event", "e"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_one_command_parser_reads_as_the_full_one(argv, capsys):
+    full = parser_outcome(cli.build_parser().parse_args, argv, capsys)
+    assert parser_outcome(cli.parse_args, argv, capsys) == full
+
+
+def test_a_command_builds_only_its_own_parser():
+    for command in cli.COMMANDS:
+        [sub] = [a for a in cli.build_parser(command)._actions if a.dest == "command"]
+        assert list(sub.choices) == [command]
+    [sub] = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    assert tuple(sub.choices) == cli.COMMANDS

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import signal
+import subprocess
+import threading
+import time
+
 import pytest
 
 from rade.depgraph import DependencyGraph
 from rade.envtree import (
     DEPLOY,
     INTEGRATION,
+    SAFE_PATH,
     EnvTree,
     apply_directives,
     env_var_name,
@@ -14,12 +20,15 @@ from rade.envtree import (
     parse_directives,
     prefix_for,
     render_modulefile,
+    run_script,
+    scripts_stopped,
     write_modulefile,
 )
 from rade.errors import (
     EmptyInstallation,
     InvariantViolation,
     MissingDependencyInstallation,
+    ScriptsStopped,
 )
 from rade.targets import Target
 from test_depgraph import make_recipe
@@ -162,3 +171,31 @@ class TestDirectives:
     def test_unknown_directive_rejected(self):
         with pytest.raises(InvariantViolation):
             parse_directives("module load foo\n")
+
+
+def test_scripts_stopped_kills_running_scripts_and_refuses_new_ones(tmp_path):
+    started, marker = tmp_path / "started", tmp_path / "late"
+    script = f'touch {started}; (sleep 1; echo late > {marker}) & sleep 30'
+    results = []
+
+    def run():
+        results.append(
+            run_script(["/bin/sh", "-c", script], {"PATH": SAFE_PATH}, tmp_path, 60,
+                       subprocess.DEVNULL, subprocess.DEVNULL)
+        )
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    deadline = time.monotonic() + 30
+    while not started.exists():
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    with scripts_stopped():
+        worker.join(timeout=5)
+        assert not worker.is_alive()
+        with pytest.raises(ScriptsStopped):
+            run_script(["/bin/true"], {}, tmp_path, 60, None, None)
+    assert results == [-signal.SIGKILL]
+    assert run_script(["/bin/true"], {}, tmp_path, 60, None, None) == 0
+    time.sleep(1.5)
+    assert not marker.exists()  # the script's background command died with it

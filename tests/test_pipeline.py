@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rade import cli, pipeline
+from rade import repo as repo_mod
 from rade.depgraph import BuildPlan, DependencyGraph, build_order
 from rade.envtree import DEPLOY, EnvTree, prefix_for
 
@@ -43,6 +44,7 @@ from toycorpus import (
     OPS_NO_WORLD_WRITABLE,
     make_runner,
     make_workspace,
+    tick,
     write_recipe,
 )
 from toycorpus import make_bundle
@@ -123,6 +125,117 @@ class TestBuildPhase:
         assert job.state == FAILED
         assert job.failed_phase == "build"
         assert "=== PHASE test ===" not in job.log_path.read_text()
+
+
+class TestVerifiedSource:
+    """A local source copy whose record vouches for it is not hashed again;
+    every other copy is hashed, and fetched again, as without a record."""
+
+    @staticmethod
+    def recorded(ws):
+        """A runner, a new hello job and its source copy, which has a record."""
+        config, corpus, graph, runner = make_runner(ws)
+        build_plan = plan(EVENT_HELLO, corpus, graph, config.matrix)
+        job = first_job(runner, build_plan)
+        copy = runner._fetch_source(job)  # copied: newer than any clock reading
+        tick(copy.parent)
+        runner._fetch_source(job)  # hashed, and now older than the reading
+        assert runner._source_record(job).is_file()
+        return runner, first_job(runner, build_plan), copy
+
+    @staticmethod
+    def spy(monkeypatch, name):
+        calls = []
+        original = getattr(pipeline, name)
+        monkeypatch.setattr(
+            pipeline, name, lambda path, *a: calls.append(Path(path)) or original(path, *a)
+        )
+        return calls
+
+    def test_recorded_source_is_not_hashed_again(self, small_ws, monkeypatch):
+        runner, job, copy = self.recorded(small_ws)
+        hashed = self.spy(monkeypatch, "hash_file")
+        runner.run_build(job)
+        assert job.state == BUILT
+        assert hashed == []
+
+    def test_copy_rewritten_in_place_is_fetched_again(self, small_ws, monkeypatch):
+        runner, job, copy = self.recorded(small_ws)
+        good = copy.read_bytes()
+        before = copy.stat()
+        with open(copy, "r+b") as fh:  # same inode, same size, same mtime
+            fh.write(b"\0" * 16)
+        os.utime(copy, ns=(before.st_atime_ns, before.st_mtime_ns))
+        hashed = self.spy(monkeypatch, "hash_file")
+        fetched = self.spy(monkeypatch, "copy_verified")
+        runner.run_build(job)
+        assert job.state == BUILT
+        assert (hashed, fetched) == ([copy], [small_ws.sources_dir / copy.name])
+        assert copy.read_bytes() == good
+        assert "1.0" in (runner._build_dir(job) / "hello").read_text()
+
+        origin = small_ws.sources_dir / copy.name
+        origin.write_bytes(b"\0" * 16 + good[16:])
+        with open(copy, "r+b") as fh:
+            fh.write(b"\0" * 16)
+        job = runner.new_job(job.name, job.version, job.target)
+        with pytest.raises(SourceChecksumMismatch):
+            runner.run_build(job)
+        assert "$ " not in job.log_path.read_text()  # no script was invoked
+
+    def test_record_of_another_sha256_is_not_trusted(self, small_ws, monkeypatch):
+        _, _, copy = self.recorded(small_ws)
+        # the recipe moves to a new bundle under the same name
+        _, digest = make_bundle(small_ws.sources_dir, copy.name, {"hello.in": "echo 2.0\n"})
+        manifest = small_ws.corpus_root / "hello" / "1.0" / "rade.json"
+        doc = json.loads(manifest.read_text())
+        doc["source"]["sha256"] = digest
+        manifest.write_text(json.dumps(doc))
+        config, corpus, graph, runner = make_runner(small_ws)
+        job = first_job(runner, plan(EVENT_HELLO, corpus, graph, config.matrix))
+        hashed = self.spy(monkeypatch, "hash_file")
+        runner._fetch_source(job)
+        assert hashed == [copy]
+        assert repo_mod.hash_file(copy)[0] == digest
+
+    @pytest.mark.parametrize("later_ns, recorded", [(0, False), (1, True)])
+    def test_copy_not_older_than_the_clock_gets_no_record(
+        self, small_ws, monkeypatch, later_ns, recorded
+    ):
+        config, corpus, graph, runner = make_runner(small_ws)
+        job = first_job(runner, plan(EVENT_HELLO, corpus, graph, config.matrix))
+        copy = runner._fetch_source(job)
+        st = copy.stat()
+        newest = max(st.st_mtime_ns, st.st_ctime_ns)
+        monkeypatch.setattr(pipeline, "_clock", lambda directory: newest + later_ns)
+        runner._fetch_source(job)
+        assert runner._source_record(job).is_file() == recorded
+
+    @pytest.mark.parametrize("step", ["copy_verified", "hash_file"])
+    def test_both_targets_fetch_at_once(self, tmp_path, monkeypatch, step):
+        ws = make_workspace(tmp_path, sites=("sitea", "siteb"))
+        config, corpus, graph, runner = make_runner(ws)
+        build_plan = plan(EVENT_HELLO, corpus, graph, config.matrix)
+        if step == "hash_file":  # a copy exists, and no record
+            copy = runner._fetch_source(first_job(runner, build_plan))
+            tick(copy.parent)
+        both = threading.Barrier(2, timeout=10)
+        original = getattr(pipeline, step)
+
+        def together(*args):
+            both.wait()
+            return original(*args)
+
+        monkeypatch.setattr(pipeline, step, together)
+        jobs = [first_job(runner, build_plan, i) for i in range(2)]
+        threads = [threading.Thread(target=runner.run_build, args=(j,)) for j in jobs]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert [j.state for j in jobs] == [BUILT, BUILT]
+        assert runner._source_record(jobs[0]).is_file() == (step == "hash_file")
 
 
 class TestTestPhase:

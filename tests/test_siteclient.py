@@ -3,6 +3,8 @@ from __future__ import annotations
 import errno
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -506,7 +508,7 @@ def test_fault_at_every_call_of_a_delta_sync(three_heads, tmp_path, monkeypatch)
             assert_read_only_tree(repo, cache, heads[n])
             assert sorted(p.name for p in cache.cache_root.iterdir()) == [
                 ".tree.a", ".tree.a.catalog", ".tree.b", ".tree.b.catalog",
-                "head", "objects", "tree",
+                "head", "lock", "objects", "tree",
             ]
         crash_points.append(k - 1)
     # each fetch, link, copy and rename of the two delta syncs: 3 fetches, 5
@@ -533,7 +535,7 @@ def test_single_tree_cache_upgrades_on_next_sync(three_heads, tmp_path):
     assert cache.tree_root.is_symlink()
     assert tree_state(cache.tree_root) == catalog_state(repo, h2)
     assert sorted(p.name for p in cache.cache_root.iterdir()) == [
-        ".tree.a", ".tree.a.catalog", "head", "objects", "tree",
+        ".tree.a", ".tree.a.catalog", "head", "lock", "objects", "tree",
     ]
 
 
@@ -691,3 +693,47 @@ def test_verify_finds_a_tree_behind_its_head(three_heads, tmp_path):
     sha, size, _, job = cache.head_path.read_text().split(" ")
     cache.head_path.write_text(" ".join([sha, size, "4", job]))
     assert cache.verify().problems() == ["tree .revision disagrees with head revision 4"]
+
+
+SYNC_CHILD = (
+    "import sys\n"
+    "from rade.siteclient import SiteCache\n"
+    "cache = SiteCache(sys.argv[1], sys.argv[2])\n"
+    "print('ready', flush=True)\n"
+    "sys.stdin.readline()\n"
+    "cache.sync()\n"
+)
+
+
+def test_overlapping_syncs_take_turns(tmp_path):
+    """Two syncs of one cache released at the same instant after each commit
+    leave a cache that verifies: the second waits for the first."""
+    repo = Repository.init(tmp_path / "repo")
+    cache_root = tmp_path / "cache"
+    env = {**os.environ, "PYTHONPATH": str(Path(siteclient.__file__).parents[1])}
+    for commit in range(8):
+        # each commit changes half the files, executables among them
+        files = {f"d{i % 8}/f{i}": f"{commit if i % 2 else 0}-{i}\n" * 64 for i in range(160)}
+        publish_files(repo, tmp_path / "src", files, executables=list(files)[::5],
+                      job=f"job-{commit}")
+        syncs = [
+            subprocess.Popen(
+                [sys.executable, "-c", SYNC_CHILD, str(repo.path), str(cache_root)],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                text=True, env=env,
+            )
+            for _ in range(2)
+        ]
+        try:
+            assert [p.stdout.readline() for p in syncs] == ["ready\n"] * 2
+            for p in syncs:  # the start barrier
+                p.stdin.write("go\n")
+                p.stdin.flush()
+            results = [p.communicate(timeout=60) for p in syncs]
+        finally:
+            for p in syncs:
+                p.kill()
+                p.communicate()
+        assert [(p.returncode, err) for p, (_, err) in zip(syncs, results)] == [(0, "")] * 2
+        report = SiteCache(repo.path, cache_root).verify()
+        assert report.problems() == [], f"after commit {commit}"
