@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (publication happened or the plan was empty), 1 at
 least one job failed (for ``verify``: the repository or site cache has a
-problem), 2 configuration or usage error; ``run`` stopped by SIGINT exits
+problem), 2 configuration or usage error; a command stopped by SIGINT exits
 130, by SIGTERM 143.
 """
 from __future__ import annotations
@@ -137,25 +137,8 @@ def _raise_terminated(signum, frame):
 
 
 def cmd_run(args) -> int:
-    """Run the event or spool; SIGINT or SIGTERM stops it with exit 130 or
-    143, leaving the event it was running pending."""
-    main_thread = threading.current_thread() is threading.main_thread()
-    if main_thread:  # only the main thread may set a handler
-        previous = signal.signal(signal.SIGTERM, _raise_terminated)
-    try:
-        return _run_events(args)
-    except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
-        return EXIT_INTERRUPTED
-    except _Terminated:
-        print("error: terminated", file=sys.stderr)
-        return EXIT_TERMINATED
-    finally:
-        if main_thread:
-            signal.signal(signal.SIGTERM, previous)
-
-
-def _run_events(args) -> int:
+    """Run the event or spool. Stopped by a signal, it leaves the event it
+    was running pending."""
     config = load_config(args.config)
     corpus, graph, runner = _build_runner(config)
     event_path = _event_path(args)
@@ -460,6 +443,11 @@ def main(argv=None) -> int:
         level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s"
     )
     args = parse_args(argv)
+    # SIGTERM then ends a command as SIGINT does, so that every script it
+    # runs is killed on the way out; only the main thread may set a handler
+    main_thread = threading.current_thread() is threading.main_thread()
+    if main_thread:
+        previous = signal.signal(signal.SIGTERM, _raise_terminated)
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -468,6 +456,15 @@ def main(argv=None) -> int:
     except RadeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_JOB_FAILURE
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
+    except _Terminated:
+        print("error: terminated", file=sys.stderr)
+        return EXIT_TERMINATED
+    finally:
+        if main_thread:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

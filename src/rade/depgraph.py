@@ -68,11 +68,15 @@ def build_graph(corpus: Corpus) -> DependencyGraph:
     are those of a ``build_graph`` that succeeded on this very recipe set, so
     they are taken as they are. Otherwise the edges resolved here are
     recorded in that index, if there is one: this is the index file's only
-    write. An error is never recorded.
+    write. It is also written when the load listed a corpus directory
+    afresh, so that the next load need not. An error is never recorded.
     """
     index = corpus.index
     if index is not None and index.edges is not None:
-        return DependencyGraph(nodes=frozenset(corpus.recipes), edges=index.edges)
+        graph = DependencyGraph(nodes=frozenset(corpus.recipes), edges=index.edges)
+        if index.relisted:
+            index.write(graph.edges)
+        return graph
     versions: dict[str, list[str]] = defaultdict(list)
     for name, version in corpus.recipes:
         versions[name].append(version)

@@ -171,8 +171,7 @@ def _record_line(sha256: str, st: os.stat_result) -> bytes:
     the stat signature of ``st``, ``(st_mtime_ns, st_ctime_ns, st_size,
     st_ino)``. A record vouches only for the file that now has exactly that
     signature; the inode number tells two files of a directory apart."""
-    signature = " ".join(map(str, _signature(st)))
-    return f"{SOURCE_RECORD_FORMAT} {sha256} {signature}\n".encode("ascii")
+    return f"{SOURCE_RECORD_FORMAT} {sha256} {_signature(st)}\n".encode("ascii")
 
 
 def plan(
@@ -308,7 +307,7 @@ class JobRunner:
         clock = _clock(dest_dir)
         if dest.is_file() and hash_file(dest)[0] == sha256:
             st = os.stat(dest)
-            if _settled(_signature(st), clock):
+            if _settled([st], clock):
                 try:
                     write_atomic(record, _record_line(sha256, st))
                 except OSError:

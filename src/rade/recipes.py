@@ -3,9 +3,10 @@
 A corpus is a directory tree ``<root>/<name>/<version>/rade.json`` with the
 three phase scripts (and any researcher tests) stored alongside the manifest.
 A :class:`CorpusIndex` lets a load skip reading and parsing the recipes
-whose files have not changed since the last load, lets ``rade mve`` look up
-one recipe without a load (:func:`find_recipe`), and keeps the resolved
-dependency edges of the recipes it records. A load only reads the index;
+whose files have not changed since the last load, and listing the
+directories that have not changed; it lets ``rade mve`` look up one recipe
+without a load (:func:`find_recipe`), and keeps the resolved dependency
+edges of the recipes it records. A load only reads the index;
 ``depgraph.build_graph`` writes it. Commit events arrive as JSON documents
 naming changed corpus-relative paths.
 """
@@ -36,7 +37,7 @@ log = logging.getLogger(__name__)
 
 MANIFEST_NAME = "rade.json"
 INDEX_NAME = "corpus-index.json"  # kept in the orchestrator's workdir
-INDEX_FORMAT = "rade-corpus-index/4"
+INDEX_FORMAT = "rade-corpus-index/5"
 
 _NAME_RE = re.compile(r"[a-z0-9][a-z0-9._-]*\Z")
 # a version names a directory in every prefix, build, source and log path;
@@ -225,7 +226,7 @@ class Corpus:
         return self.root / self.dirs[key]
 
 
-def _find_manifests(root: Path) -> list[tuple[str, str]]:
+def _find_manifests(root: Path, index: CorpusIndex | None = None) -> list[tuple[str, str]]:
     """Every manifest below ``root`` as ``(relative directory, path)``.
 
     Finds what ``root.rglob(MANIFEST_NAME)`` finds: symlinked directories are
@@ -235,43 +236,126 @@ def _find_manifests(root: Path) -> list[tuple[str, str]]:
     The order is that of ``sorted()`` over the manifests' ``Path``s, i.e. by
     path components, so ``a/b`` comes before ``a-b``. The relative directory
     is ``"."`` for a manifest at the root.
+
+    With an ``index``, each directory the index records is stat-ed first, and
+    one that keeps its recorded signature is not listed: whether it holds a
+    manifest, and which subdirectories, is taken from the record, and only a
+    manifest that is a symlink is looked at again. Each other directory is
+    listed; a subdirectory it holds that the record lacks is walked, and one
+    it no longer holds drops its recorded subtree. The walk's own record goes
+    to ``index.dirs`` (see :class:`CorpusIndex`).
     """
-    found = []
+    found: list[tuple[str, str]] = []
     if not root.is_dir():
         return found
     top = os.path.join(root, "")  # directory paths end in a separator
-    pending = [top]
-    while pending:
-        path = pending.pop()
+    if index is None:
+        paths, signatures, kinds, clock = [], [], [], None
+    else:
+        (paths, signatures, kinds), clock = index._dirs, index._written
+    listed: list[tuple[str, str | None, int]] = []  # the record of each listed directory
+
+    def note(rel: str, kind: int) -> None:
+        manifest = top + rel + MANIFEST_NAME
+        if kind == _MANIFEST or (kind == _MANIFEST_LINK and os.path.exists(manifest)):
+            found.append((rel[:-1] or ".", manifest))
+
+    def listing(rel: str, st: os.stat_result | None = None) -> list[str]:
+        """List directory ``rel`` (stat-ed first, before its entries are
+        read), note its manifest, record it, and return its subdirectories."""
+        kind, subdirs = _NO_MANIFEST, []
         try:
-            with os.scandir(path) as listing:
-                entries = list(listing)
+            if st is None and index is not None:
+                st = os.stat(top + rel)
+            with os.scandir(top + rel) as entries:
+                for entry in entries:
+                    if entry.name == MANIFEST_NAME:
+                        kind = _MANIFEST_LINK if entry.is_symlink() else _MANIFEST
+                    if entry.is_dir(follow_symlinks=False):
+                        subdirs.append(rel + entry.name + "/")
         except PermissionError:
+            st = None  # skipped, and never vouched for
+        signature = None
+        if st is not None and _settled([st], clock):
+            signature = _signature(st)
+            index.relisted = True
+        listed.append((rel, signature, kind))
+        note(rel, kind)
+        return subdirs
+
+    def walk(rel: str) -> None:
+        """List ``rel`` and every directory below it."""
+        pending = [rel]
+        while pending:
+            pending += listing(pending.pop())
+
+    def subtree_end(i: int) -> int:
+        """The record number after recorded directory ``i``'s subtree."""
+        end = i + 1
+        while end < n and paths[end].startswith(paths[i]):
+            end += 1
+        return end
+
+    if not paths:
+        walk("")
+    # The record lists each directory before those below it, so one pass
+    # checks parents first. A changed directory is listed, and what it gained
+    # or lost changes which of the recorded directories below it are kept.
+    dropped: set[int] = set()  # record numbers not kept, as they are
+    gone: set[str] = set()  # directories no longer held by their parent
+    stat = os.stat
+    i, n = 0, len(paths)
+    while i < n:
+        rel = paths[i]
+        if gone and rel in gone:
+            end = subtree_end(i)
+            dropped.update(range(i, end))
+            i = end
             continue
-        for entry in entries:
-            if entry.name == MANIFEST_NAME and (
-                not entry.is_symlink() or os.path.exists(entry.path)
-            ):
-                found.append((path[len(top):-1] or ".", entry.path))
-            if entry.is_dir(follow_symlinks=False):
-                pending.append(entry.path + "/")
+        try:
+            st = stat(top + rel)
+        except OSError:  # listed, which skips or reports it as a full walk would
+            st = None
+        else:
+            if _signature(st) == signatures[i]:
+                if kinds[i]:
+                    note(rel, kinds[i])
+                i += 1
+                continue
+        dropped.add(i)
+        subdirs = listing(rel, st)
+        depth = rel.count("/") + 1
+        recorded = {sub for sub in paths[i + 1:subtree_end(i)] if sub.count("/") == depth}
+        for sub in subdirs:
+            if sub not in recorded:
+                walk(sub)
+        gone |= recorded.difference(subdirs)
+        i += 1
+    if index is not None:
+        if dropped or listed:
+            rows = [row for j, row in enumerate(zip(paths, signatures, kinds)) if j not in dropped]
+            rows += listed
+            rows.sort(key=lambda row: row[0].replace("/", "\0"))  # as found is, below
+            index.dirs = tuple(map(list, zip(*rows)))
+        else:
+            index.dirs = index._dirs
     # NUL sorts below any character a name can hold, so the joined strings
     # sort as their component tuples do
     found.sort(key=lambda item: item[1].replace("/", "\0"))
     return found
 
 
-def _signature(st: os.stat_result) -> list[int]:
-    """What the index compares: a list, the shape JSON gives back."""
-    return [st.st_mtime_ns, st.st_ctime_ns, st.st_size, st.st_ino]
+def _signature(st: os.stat_result) -> str:
+    """What the index compares of a file or directory, as one string."""
+    return f"{st.st_mtime_ns} {st.st_ctime_ns} {st.st_size} {st.st_ino}"
 
 
-def _read_manifest(path: str) -> tuple[str, list[int]]:
-    """The manifest's text and the signature of the file it was read from."""
+def _read_manifest(path: str) -> tuple[str, os.stat_result]:
+    """The manifest's text and the stat of the file it was read from."""
     try:
         with open(path, encoding="utf-8") as f:
-            signature = _signature(os.fstat(f.fileno()))
-            return f.read(), signature
+            st = os.fstat(f.fileno())
+            return f.read(), st
     except (OSError, UnicodeDecodeError) as exc:
         raise MalformedManifest(str(exc)) from exc
 
@@ -286,21 +370,21 @@ def scan_corpus(root: Path, index: CorpusIndex | None = None):
     taken from it, and every recipe read afresh is recorded in it.
     """
     root = Path(root)
-    for rel_dir, manifest_path in _find_manifests(root):
-        if index is not None:
-            recipe = index.unchanged(rel_dir, manifest_path)
-            if recipe is not None:
-                yield rel_dir, recipe, None
-                continue
+    found = _find_manifests(root, index)
+    vouched = [None] * len(found) if index is None else index.vouched(found)
+    for (rel_dir, manifest_path), recipe in zip(found, vouched):
+        if recipe is not None:
+            yield rel_dir, recipe, None
+            continue
         try:
-            text, signature = _read_manifest(manifest_path)
+            text, st = _read_manifest(manifest_path)
             recipe = parse_manifest(text)
-            signatures = _check_recipe_files(recipe, root, rel_dir, manifest_path)
+            stats = _check_recipe_files(recipe, root, rel_dir, manifest_path)
         except Exception as exc:  # noqa: BLE001 - reported per manifest
             yield rel_dir, None, exc
         else:
             if index is not None:
-                index.record(rel_dir, signature + signatures, recipe)
+                index.record(rel_dir, [st, *stats], recipe)
             yield rel_dir, recipe, None
 
 
@@ -315,12 +399,12 @@ def _script_paths(scripts: ScriptSet, manifest_path: str) -> list[str]:
 
 def _check_recipe_files(
     recipe: Recipe, root: Path, rel_dir: str, manifest_path: str
-) -> list[int]:
+) -> list[os.stat_result]:
     """Each phase script must be a non-empty regular file, after symlinks.
 
-    Returns the three scripts' signatures, one after the other.
+    Returns the three scripts' stat results, one after the other.
     """
-    signatures = []
+    stats = []
     paths = _script_paths(recipe.scripts, manifest_path)
     for label, path in zip(("build", "check", "deploy"), paths):
         try:
@@ -333,8 +417,8 @@ def _check_recipe_files(
             raise InvariantViolation(
                 f"{label} script {rel!r} missing or empty in {root / rel_dir}"
             )
-        signatures += _signature(st)
-    return signatures
+        stats.append(st)
+    return stats
 
 
 def _recipe_fields(recipe: Recipe, shared: dict[tuple, int]) -> list:
@@ -375,106 +459,164 @@ def _shared_parts(rows: list[list]) -> list[ScriptSet | Dependency]:
     ]
 
 
-def _recipe_from_fields(fields: list, parts: list) -> Recipe:
-    name, version, url, sha256, scripts, deps, tests, targets = fields
-    return Recipe(
-        name=name,
-        version=version,
-        source=SourceSpec(url, sha256),
-        scripts=parts[scripts],
-        dependencies=tuple([parts[dep] for dep in deps]),
-        researcher_tests=tuple(tests),
-        target_filter=None if targets is None else TargetFilter(
+def _recipe_from_fields(fields: list, parts) -> Recipe:
+    """The Recipe of an index entry; ``parts`` maps the entry's ``shared``
+    numbers to :func:`_shared_parts` objects."""
+    name, version, url, sha256, scripts, deps, tests, targets = fields[:_REL_DIR]
+    return Recipe(  # by position, which is quicker: name, version, source, ...
+        name,
+        version,
+        SourceSpec(url, sha256),
+        parts[scripts],
+        tuple([parts[dep] for dep in deps]),
+        tuple(tests),
+        None if targets is None else TargetFilter(
             *(tuple(TargetPattern(*p) for p in patterns) for patterns in targets)
         ),
     )
 
 
+# in an index entry: a recipe's fields, of which these two name shared parts,
+# then its directory and the signatures of its four files
+_SCRIPTS, _DEPENDENCIES, _REL_DIR, _SIGNATURE = 4, 5, 8, 9
+# what a directory record says of a directory's manifest name
+_NO_MANIFEST, _MANIFEST, _MANIFEST_LINK = 0, 1, 2
+# the payload's lines before the shared parts: header, edges, directories
+_HEAD_LINES = 3
+
+
+def _vouched(entry: list, parts, manifest_path: str) -> Recipe | None:
+    """The Recipe of index ``entry`` if the manifest at ``manifest_path`` and
+    its three phase scripts keep the signatures the entry records."""
+    build, check, deploy = _script_paths(parts[entry[_SCRIPTS]], manifest_path)
+    stat, signature = os.stat, _signature
+    try:
+        current = (
+            f"{signature(stat(manifest_path))} {signature(stat(build))} "
+            f"{signature(stat(check))} {signature(stat(deploy))}"
+        )
+    except OSError:  # gone: read afresh, which reports why
+        return None
+    return _recipe_from_fields(entry, parts) if current == entry[_SIGNATURE] else None
+
+
+def _index_payload(path: Path, root: str) -> tuple[dict, bytes] | None:
+    """The header and payload of the index file at ``path``, if its first
+    line is the payload's sha256 and its header names this format and
+    ``root``."""
+    try:
+        with open(path, "rb") as f:
+            digest, _, payload = f.read().partition(b"\n")
+        if hashlib.sha256(payload).hexdigest().encode() != digest:
+            return None
+        header = json.loads(payload.partition(b"\n")[0])
+        if header["format"] != INDEX_FORMAT or header["root"] != root:
+            return None
+        return header, payload
+    except (OSError, ValueError, LookupError, TypeError):
+        return None
+
+
 class CorpusIndex:
-    """A stat-validated record of the recipes one load found, kept as a JSON file.
+    """A stat-validated record of the recipes and directories one load
+    found, kept as a file of JSON lines.
 
     As git's index does, it trusts a cached result while the files it came
-    from keep their signature ``(st_mtime_ns, st_ctime_ns, st_size, st_ino)``:
-    a recipe whose manifest and three phase scripts (after symlinks) keep
-    theirs parses to the same :class:`Recipe` and passes the same file checks.
+    from keep their signature ``(st_mtime_ns, st_ctime_ns, st_size, st_ino)``
+    (:func:`_signature`): a recipe whose manifest and three phase scripts
+    (after symlinks) keep theirs parses to the same :class:`Recipe` and
+    passes the same file checks.
 
-    It vouches for recipes only: every load lists the directories with
-    :func:`_find_manifests`, as a load without an index does. A corpus
-    directory holds a few entries, so listing it costs about what the
-    ``stat`` that would vouch for a kept listing costs, and no workload has
-    directories big enough to pay for a second way to walk the corpus.
+    It also records every corpus directory, as git's untracked cache does:
+    its signature and whether it holds an entry named ``rade.json`` (and
+    whether that is a symlink). :func:`_find_manifests` stats each recorded
+    directory instead of listing it, takes the listing of one that keeps its
+    signature from the record, and lists only the others; a manifest that is
+    a symlink still has its target looked at on every load. The record
+    (:attr:`dirs`) is three lists, one item per directory: its path relative
+    to the corpus root (``""`` for the root, else ending in ``/``), its
+    signature and its manifest kind. The paths are sorted by their
+    components, so each directory's subtree is the run of paths after it
+    that start with its own, and its subdirectories are the ones of that run
+    with one more component.
 
     It also keeps the resolved dependency edges of the recipes it records.
     ``depgraph.build_graph`` is the file's only writer (:meth:`write`), and
     writes only after a graph build on exactly those recipes succeeded. A
     walk that re-read no recipe and found every recipe the index holds has
     that recipe set, so its graph has those edges (:attr:`edges` once
-    :meth:`end_walk` ran).
+    :meth:`end_walk` ran). The graph build also writes when the walk listed
+    a directory afresh and recorded it (:attr:`relisted`).
 
     An entry is decoded into a :class:`Recipe` only when it is vouched for,
-    so a lookup of one recipe decodes one.
+    and :func:`find_recipe` decodes no other line than the header, the one
+    recipe entry it looks for and the shared parts that entry names.
 
     A load reads the file system's clock when it starts (:func:`_clock`),
     before it stats anything afresh. A signature whose mtime or ctime is not
     older than that reading may hide an edit made in the same clock tick
-    ("racy"), so it is left out of the file and read again next time, and a
-    record that leaves one out holds no edges. Without a reading, nothing is
-    written.
+    ("racy"): a recipe with one is left out of the file and read again next
+    time, and a record that leaves one out holds no edges; a directory with
+    one is recorded without its signature, so it is listed again next time.
+    Without a reading, nothing is written.
 
-    The file's first line is the sha256 of the JSON payload that follows it.
-    A missing, unreadable, corrupt or foreign index (another format or corpus
-    root) vouches for nothing, and one that cannot be written is not kept.
+    The file's first line is the sha256 of the payload that follows it: one
+    JSON value per line, namely the header (format tag, corpus root, number
+    of shared parts), the edges, the directory record, the shared parts (see
+    :func:`_recipe_fields`), then one entry per recipe. A missing,
+    unreadable, corrupt or foreign index (another format or corpus root)
+    vouches for nothing, and one that cannot be written is not kept.
     """
 
     def __init__(self, path: Path, root: Path):
         self.path = Path(path)
         self.root = os.path.abspath(root)
-        # each entry as the file holds it: [signatures, fields]
-        self._known, self._parts, self.edges = self._read()
-        self.recipes: dict[str, tuple[list, Recipe]] = {}  # what this walk saw
+        # entries by relative directory, as the file holds them
+        self._known, self._parts, self.edges, self._dirs = self._read()
+        self.recipes: dict[str, tuple[str | None, Recipe]] = {}  # what this walk saw
+        self.dirs: tuple[list, ...] = ([], [], [])  # and its directories
+        self.relisted = False  # whether the walk recorded a directory it listed
         self._fresh = False  # whether this walk read a recipe afresh
         self._written: int | None = None  # the clock reading of the racy rule
 
-    def _read(self) -> tuple[dict[str, list], list, frozenset[Edge] | None]:
+    def _read(self):
+        empty = {}, [], None, ([], [], [])
+        read = _index_payload(self.path, self.root)
+        if read is None:
+            return empty
+        header, payload = read
         try:
-            with open(self.path, "rb") as f:
-                digest, _, payload = f.read().partition(b"\n")
-            if hashlib.sha256(payload).hexdigest().encode() != digest:
-                return {}, [], None
-            doc = json.loads(payload)
-            if doc["format"] != INDEX_FORMAT or doc["root"] != self.root:
-                return {}, [], None
-            parts = _shared_parts(doc["shared"])
-            entries = doc["recipes"]
-            if doc["edges"] is None:
-                return entries, parts, None
-            keys = [(fields[0], fields[1]) for _, fields in entries.values()]
-            return entries, parts, frozenset(
-                (keys[src], keys[dep]) for src, dep in doc["edges"]
-            )
-        except (OSError, ValueError, LookupError, TypeError, RadeError):
-            return {}, [], None
+            # one JSON value per line, so the lines decode as one array
+            _, edges, dirs, *rest = json.loads(b"[" + payload.replace(b"\n", b",") + b"]")
+            shared = header["shared"]
+            parts, entries = _shared_parts(rest[:shared]), rest[shared:]
+            known = {entry[_REL_DIR]: entry for entry in entries}
+            if edges is not None:
+                keys = [(entry[0], entry[1]) for entry in entries]
+                edges = frozenset((keys[src], keys[dep]) for src, dep in edges)
+            paths, signatures, kinds = dirs
+            return known, parts, edges, (paths, signatures, kinds)
+        except (ValueError, LookupError, TypeError, RadeError):
+            return empty
 
-    def unchanged(self, rel_dir: str, manifest_path: str) -> Recipe | None:
-        """The recorded recipe of ``rel_dir`` if none of its files changed."""
-        known = self._known.get(rel_dir)
-        if known is None:
-            return None
-        signatures, fields = known
-        current = []
-        for path in (manifest_path, *_script_paths(self._parts[fields[4]], manifest_path)):
-            try:
-                current += _signature(os.stat(path))
-            except OSError:  # gone: read afresh, which reports why
-                return None
-        if current != signatures:
-            return None
-        recipe = _recipe_from_fields(fields, self._parts)
-        self.recipes[rel_dir] = (signatures, recipe)
-        return recipe
+    def vouched(self, found: list[tuple[str, str]]) -> list[Recipe | None]:
+        """For each ``(relative directory, manifest path)`` a walk found, the
+        recipe recorded there if none of its files changed, else None."""
+        known, parts, walked = self._known, self._parts, self.recipes
+        result = [None] * len(found)
+        for k, (rel_dir, manifest_path) in enumerate(found):
+            entry = known.get(rel_dir)
+            if entry is not None:
+                recipe = result[k] = _vouched(entry, parts, manifest_path)
+                if recipe is not None:
+                    walked[rel_dir] = (entry[_SIGNATURE], recipe)
+        return result
 
-    def record(self, rel_dir: str, signatures: list, recipe: Recipe) -> None:
-        self.recipes[rel_dir] = (signatures, recipe)
+    def record(self, rel_dir: str, stats: list[os.stat_result], recipe: Recipe) -> None:
+        """Record a recipe read afresh, from files of the stat results
+        ``stats``; it is written only if they are settled."""
+        signature = " ".join(map(_signature, stats)) if _settled(stats, self._written) else None
+        self.recipes[rel_dir] = (signature, recipe)
         self._fresh = True
 
     def end_walk(self) -> None:
@@ -483,7 +625,7 @@ class CorpusIndex:
         :attr:`edges` becomes None."""
         if self._fresh or len(self.recipes) < len(self._known):
             self.edges = None
-        self._known = {}  # the walk's own record is in self.recipes
+        self._known, self._dirs = {}, ()  # the walk's own record is in recipes and dirs
 
     def write(self, edges: frozenset[Edge]) -> None:
         """Replace the index file with this walk's record and ``edges``: the
@@ -497,28 +639,31 @@ class CorpusIndex:
             pass  # the index only saves work; the load's result stands
 
     def _serialize(self, edges: frozenset[Edge]) -> bytes:
-        kept = {
-            rel: (signatures, recipe)
-            for rel, (signatures, recipe) in self.recipes.items()
-            if _settled(signatures, self._written)
-        }
-        position = {recipe.key: i for i, (_, recipe) in enumerate(kept.values())}
+        kept = [
+            (rel, signature, recipe)
+            for rel, (signature, recipe) in self.recipes.items()
+            if signature is not None
+        ]
+        position = {recipe.key: i for i, (_, _, recipe) in enumerate(kept)}
         shared: dict[tuple, int] = {}
-        doc = {
-            "format": INDEX_FORMAT,
-            "root": self.root,
-            "recipes": {
-                rel: [signatures, _recipe_fields(recipe, shared)]
-                for rel, (signatures, recipe) in kept.items()
-            },
+        entries = [_recipe_fields(recipe, shared) + [rel, sig] for rel, sig, recipe in kept]
+        lines = [
+            {"format": INDEX_FORMAT, "root": self.root, "shared": len(shared)},
             # edges of a record that left a recipe out would never be trusted
-            "edges": None if len(kept) < len(self.recipes) else [
+            None if len(kept) < len(self.recipes) else [
                 [position[src], position[dep]] for src, dep in sorted(edges)
             ],
-        }
-        doc["shared"] = list(shared)
-        payload = json.dumps(doc, separators=(",", ":")).encode()
+            self.dirs,
+            *shared,
+            *entries,
+        ]
+        payload = b"\n".join(map(_json_line, lines))
         return hashlib.sha256(payload).hexdigest().encode() + b"\n" + payload
+
+
+def _json_line(value) -> bytes:
+    """``value`` as compact JSON, which holds no newline."""
+    return json.dumps(value, separators=(",", ":")).encode()
 
 
 def _clock(directory: Path) -> int | None:
@@ -531,11 +676,13 @@ def _clock(directory: Path) -> int | None:
         return None
 
 
-def _settled(signatures: list[int], clock: int | None) -> bool:
-    """Whether one or more signatures, one after the other, are all older
-    than the :func:`_clock` reading ``clock``, so that any later change to
-    their files shows in them (git's racy rule)."""
-    return clock is not None and max(signatures[0::4] + signatures[1::4]) < clock
+def _settled(stats: list[os.stat_result], clock: int | None) -> bool:
+    """Whether the files of the stat results ``stats`` are all stamped
+    older than the :func:`_clock` reading ``clock``, so that any later
+    change to them shows in their signatures (git's racy rule)."""
+    return clock is not None and all(
+        st.st_mtime_ns < clock and st.st_ctime_ns < clock for st in stats
+    )
 
 
 def index_corpus(root: Path, scanned) -> Corpus:
@@ -551,13 +698,14 @@ def index_corpus(root: Path, scanned) -> Corpus:
             raise type(error)(f"{rel_dir}/{MANIFEST_NAME}: {error}") from error
         if error is not None:
             raise error
-        if recipe.key in corpus.recipes:
+        key = recipe.key
+        if key in corpus.recipes:
             raise DuplicateRecipe(
                 f"{recipe.name}/{recipe.version} declared in both "
-                f"{corpus.dirs[recipe.key]} and {rel_dir}"
+                f"{corpus.dirs[key]} and {rel_dir}"
             )
-        corpus.recipes[recipe.key] = recipe
-        corpus.dirs[recipe.key] = rel_dir
+        corpus.recipes[key] = recipe
+        corpus.dirs[key] = rel_dir
     return corpus
 
 
@@ -586,17 +734,34 @@ def find_recipe(
     """The recipe ``key`` and its directory as the index at ``index_path``
     recorded them, if none of its four files changed since; else None.
 
-    No other recipe is looked at, so unlike :func:`load_corpus` this sees
-    neither a broken or duplicate manifest elsewhere nor a directory above
-    the recipe that became a symlink.
+    After the whole file's digest is checked, only its header, the one entry
+    of ``key`` and the shared parts that entry names are decoded. No other
+    recipe is looked at, so unlike :func:`load_corpus` this sees neither a
+    broken or duplicate manifest elsewhere nor a directory above the recipe
+    that became a symlink.
     """
-    index = CorpusIndex(index_path, root)
-    for rel_dir, (_, fields) in index._known.items():
-        if fields[0:2] == list(key):
-            manifest_path = os.path.join(index.root, rel_dir, MANIFEST_NAME)
-            recipe = index.unchanged(rel_dir, manifest_path)
-            return None if recipe is None else (recipe, Path(root) / rel_dir)
-    return None
+    top = os.path.abspath(root)
+    read = _index_payload(Path(index_path), top)
+    if read is None:
+        return None
+    header, payload = read
+    lines = payload.split(b"\n")
+    # an entry's line starts with its name and version
+    prefix = _json_line(list(key))[:-1] + b","
+    try:
+        first = _HEAD_LINES + header["shared"]
+        line = next((line for line in lines[first:] if line.startswith(prefix)), None)
+        if line is None:
+            return None
+        entry = json.loads(line)
+        wanted = [entry[_SCRIPTS], *entry[_DEPENDENCIES]]
+        rows = [json.loads(lines[_HEAD_LINES + n]) for n in wanted]
+        parts = dict(zip(wanted, _shared_parts(rows)))
+        rel_dir = entry[_REL_DIR]
+        recipe = _vouched(entry, parts, os.path.join(top, rel_dir, MANIFEST_NAME))
+    except (ValueError, LookupError, TypeError, RadeError):
+        return None
+    return None if recipe is None else (recipe, Path(root) / rel_dir)
 
 
 def changed_recipes(event: CommitEvent, corpus: Corpus) -> set[tuple[str, str]]:

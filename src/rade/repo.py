@@ -86,11 +86,14 @@ def _temporary(dest: Path) -> Path:
     return dest.parent / f".{dest.name}.{uuid.uuid4().hex[:8]}.tmp"
 
 
-def write_atomic(path: Path, data: bytes, mode: int | None = None) -> None:
+def write_atomic(
+    path: Path, data: bytes, mode: int | None = None, temp_dir: Path | None = None
+) -> None:
     """Replace ``path`` with ``data``: a reader sees the old bytes or the new,
     and a failure leaves no temporary behind. A ``mode`` is set before the
-    file appears, so it is never visible with any other."""
-    tmp = _temporary(path)
+    file appears, so it is never visible with any other. The temporary is
+    made next to ``path``, or in ``temp_dir`` on the same file system."""
+    tmp = _temporary(path if temp_dir is None else Path(temp_dir) / path.name)
     try:
         tmp.write_bytes(data)
         if mode is not None:
@@ -198,7 +201,8 @@ def _same_bytes(chunks: Iterator[bytes], path: str) -> bool:
 
 class Store:
     """A directory of blobs, each named by its sha256 as ``ab/cdef...`` and
-    written once, through a ``.tmp`` temporary that :meth:`hash_all` skips."""
+    written once, through a ``.tmp`` temporary that :meth:`hash_all` skips.
+    Every temporary but :meth:`put_copy`'s is made at the store root."""
 
     def __init__(self, root: Path):
         self.root = Path(root)
@@ -211,7 +215,7 @@ class Store:
         dest = self.path(sha)
         if not dest.exists():
             dest.parent.mkdir(parents=True, exist_ok=True)
-            write_atomic(dest, data, mode)
+            write_atomic(dest, data, mode, temp_dir=self.root)
 
     def put_copy(self, source: Path, sha: str, mode: int | None = None) -> int | None:
         """Copy ``source`` in as blob ``sha`` unless it is stored already, and
@@ -545,12 +549,13 @@ class Repository:
         return Transaction(id=f"tx-{uuid.uuid4().hex[:12]}", lock_fd=fd, head=head, base=base)
 
     def _sweep_temporaries(self) -> None:
-        """Remove every ``.tmp`` name in ``objects/`` and the repository root:
-        only the lock holder writes there, so under the lock each is left by
-        a writer that died, such as a killed stage's pending objects. The
-        shard directories are not listed, since that would cost time that
-        grows with the store."""
-        for folder in (self.objects.root, self.path):
+        """Remove every ``.tmp`` name in ``objects/``, ``catalogs/`` and the
+        repository root: only the lock holder writes there, so under the lock
+        each is left by a writer that died, such as a killed stage's pending
+        objects or a killed publish's catalog. The shard directories are not
+        listed, since that would cost time that grows with the store; the
+        repository writes no temporary in them."""
+        for folder in (self.objects.root, self.catalogs.root, self.path):
             try:
                 for name in os.listdir(folder):
                     if name.endswith(".tmp"):

@@ -917,7 +917,9 @@ class TestCorpusIndex:
         assert run_cli("sync", "--repo", ws.repo_path, "--cache", ws.root / "c") == 0
         walks = []
         find = recipes._find_manifests
-        monkeypatch.setattr(recipes, "_find_manifests", lambda root: walks.append(root) or find(root))
+        monkeypatch.setattr(
+            recipes, "_find_manifests", lambda root, *index: walks.append(root) or find(root, *index)
+        )
         mve = ("hello/1.0", "--target", "x86_64-linux-sitea", "--cache", ws.root / "c")
         assert run_cli("mve", "--config", ws.config_path, *mve) == 0
         assert walks == []  # mve looked its recipe up in the index alone
@@ -941,7 +943,9 @@ class TestCorpusIndex:
         assert run_cli("sync", "--repo", ws.repo_path, "--cache", ws.root / "c") == 0
         walks = []
         find = recipes._find_manifests
-        monkeypatch.setattr(recipes, "_find_manifests", lambda root: walks.append(root) or find(root))
+        monkeypatch.setattr(
+            recipes, "_find_manifests", lambda root, *index: walks.append(root) or find(root, *index)
+        )
         return walks
 
     def mve(self, ws):
@@ -1128,6 +1132,42 @@ def test_signal_stops_the_running_scripts(ws, signum, code, message):
     time.sleep(max(0.0, began + 3.5 - time.monotonic()))
     assert not marker.exists()  # the script's sleep died with it
     assert recipes.pending_events(ws.spool_dir) == [event]
+
+
+@pytest.mark.parametrize(
+    "signum, code, message",
+    [(signal.SIGINT, 130, "error: interrupted\n"), (signal.SIGTERM, 143, "error: terminated\n")],
+    ids=["SIGINT", "SIGTERM"],
+)
+def test_signal_stops_the_running_researcher_test(ws, signum, code, message):
+    event = write_event(ws.spool_dir / "e1.json", "evt-1", ["hello/1.0/build.sh"])
+    assert run_cli("run", "--config", ws.config_path, "--event", event) == 0
+    cache = ws.root / "cache"
+    assert run_cli("sync", "--repo", ws.repo_path, "--cache", cache) == 0
+    started, marker = ws.root / "started", ws.root / "late"
+    (ws.corpus_root / "hello" / "1.0" / "tests" / "mve.sh").write_text(
+        f'#!/bin/sh\nm={marker}\ntouch {started}\nsleep 3; echo late > "$m"\n'
+    )
+    proc = start_rade(
+        "mve", "hello/1.0", "--config", ws.config_path,
+        "--target", "x86_64-linux-sitea", "--cache", cache,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not started.exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        began = time.monotonic()
+        proc.send_signal(signum)
+        out, err = proc.communicate(timeout=30)
+        took = time.monotonic() - began
+    finally:
+        proc.kill()
+        proc.communicate()
+    assert (proc.returncode, err, out) == (code, message, "")
+    assert took < 1
+    time.sleep(max(0.0, began + 3.5 - time.monotonic()))
+    assert not marker.exists()  # the test's sleep died with it
 
 
 def parser_outcome(parse, argv, capsys):

@@ -381,16 +381,28 @@ def outcome(load):
 
 def retagged(data: bytes) -> bytes:
     """An index under the first format's tag, with a digest that fits."""
-    doc = json.loads(data.partition(b"\n")[2])
+    header, _, rest = data.partition(b"\n")[2].partition(b"\n")
+    doc = json.loads(header)
     doc["format"] = "rade-corpus-index/1"
-    payload = json.dumps(doc).encode()
+    payload = json.dumps(doc).encode() + b"\n" + rest
     return hashlib.sha256(payload).hexdigest().encode() + b"\n" + payload
+
+
+def index_lines(index: Path) -> list:
+    """The JSON values of the index file's payload, one per line."""
+    return [json.loads(line) for line in index.read_bytes().partition(b"\n")[2].split(b"\n")]
+
+
+def index_entries(index: Path) -> list[list]:
+    """The recipe entries of the index file, which follow the header, the
+    edges, the directory record and the shared parts."""
+    lines = index_lines(index)
+    return lines[3 + lines[0]["shared"]:]
 
 
 def indexed_keys(index: Path) -> list[tuple[str, str]]:
     """The (name, version) of every recipe the index file holds."""
-    doc = json.loads(index.read_bytes().partition(b"\n")[2])
-    return sorted((fields[0], fields[1]) for _, fields in doc["recipes"].values())
+    return sorted((entry[0], entry[1]) for entry in index_entries(index))
 
 
 @pytest.fixture
@@ -437,6 +449,74 @@ class TestCorpusIndex:
         assert parses == []
         build_graph(load_corpus(root, index))
         after = index.stat()  # and neither the load nor the graph build rewrites it
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+    def test_settled_load_lists_no_directory_and_opens_no_manifest(self, layout, monkeypatch):
+        root, index = layout
+        self.settled_load(root, index)
+        expected = outcome(lambda: load_corpus(root))
+        listed, opened = [], []
+        scandir = os.scandir
+        monkeypatch.setattr(os, "scandir", lambda path: listed.append(path) or scandir(path))
+        monkeypatch.setattr(
+            recipes, "open",
+            lambda file, *args, **kwargs: opened.append(os.fspath(file)) or open(file, *args, **kwargs),
+            raising=False,
+        )
+        assert outcome(lambda: load_corpus(root, index)) == expected
+        assert listed == []
+        assert opened == [str(index)]
+
+    def test_lookup_decodes_one_entry(self, layout, monkeypatch):
+        root, index = layout
+        self.settled_load(root, index)
+        lines = index.read_bytes().partition(b"\n")[2].split(b"\n")
+        entries = lines[3 + json.loads(lines[0])["shared"]:]
+        decoded = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda text: decoded.append(text) or loads(text))
+        recipe, recipe_dir = recipes.find_recipe(root, index, ("beta", "1.0"))
+        assert (recipe.name, recipe_dir) == ("beta", root / "beta" / "1.0")
+        assert [text for text in decoded if text in entries] == [
+            next(line for line in entries if line.startswith(b'["beta","1.0",'))
+        ]
+        assert all(b"\n" not in text for text in decoded)  # one line at a time
+
+    def test_changed_directory_is_listed_once(self, layout, monkeypatch):
+        """A directory that changed is listed, and once the index records its
+        settled listing, no longer: the graph build rewrites the index."""
+        root, index = layout
+        self.settled_load(root, index)
+        (root / "beta" / "notes").mkdir()  # no recipe file changes
+        tick(root.parent)
+        listed = []
+        scandir = os.scandir
+        monkeypatch.setattr(os, "scandir", lambda path: listed.append(path) or scandir(path))
+        before = index.stat()
+        build_graph(load_corpus(root, index))
+        assert listed == [f"{root}/beta/", f"{root}/beta/notes/"]
+        after = index.stat()
+        assert (after.st_ino, after.st_mtime_ns) != (before.st_ino, before.st_mtime_ns)
+        listed.clear()
+        build_graph(load_corpus(root, index))
+        assert listed == []
+        assert index.stat().st_mtime_ns == after.st_mtime_ns
+
+    def test_racy_directory_is_listed_again(self, layout, monkeypatch):
+        root, index = layout
+        # not older than any index written now: its listing is never trusted
+        future = time.time_ns() + 3600 * 10**9
+        os.utime(root / "beta", ns=(future, future))
+        self.settled_load(root, index)
+        before = index.stat()
+        listed = []
+        scandir = os.scandir
+        monkeypatch.setattr(os, "scandir", lambda path: listed.append(path) or scandir(path))
+        for _ in range(2):
+            listed.clear()
+            build_graph(load_corpus(root, index))
+            assert listed == [f"{root}/beta/"]
+        after = index.stat()  # and listing it again writes nothing
         assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
     def test_same_size_edit_with_new_mtime_is_seen(self, layout, parses):
@@ -547,6 +627,22 @@ class TestCorpusIndex:
         assert outcome(lambda: load_corpus(root, index)) == expected
         assert parses == []
 
+    def test_index_of_the_previous_format_is_replaced(self, layout, parses):
+        root, index = layout
+        self.settled_load(root, index)
+        # an index as the previous format laid it out: one JSON document
+        doc = {"format": "rade-corpus-index/4", "root": str(root), "recipes": {},
+               "edges": [], "shared": []}
+        payload = json.dumps(doc).encode()
+        index.write_bytes(hashlib.sha256(payload).hexdigest().encode() + b"\n" + payload)
+        parses.clear()
+        build_graph(load_corpus(root, index))
+        assert parses == ["alpha", "beta", "gamma"]
+        assert index_lines(index)[0]["format"] == "rade-corpus-index/5"
+        parses.clear()
+        load_corpus(root, index)
+        assert parses == []
+
     def test_index_of_another_corpus_root_means_a_full_scan(self, layout, parses):
         root, index = layout
         self.settled_load(root, index)
@@ -608,6 +704,9 @@ class TestCorpusIndex:
 INDEX_MUTATIONS = (
     "edit", "add", "remove", "nest", "drop_script", "empty_script", "duplicate", "break",
     "depend", "cycle",
+    # these change directories, and no file a recipe is read from
+    "empty_dir", "stray_file", "rename_dir", "remove_tree", "dir_symlink", "link_manifest",
+    "racy",
 )
 
 
@@ -632,10 +731,21 @@ def depend(recipe_dir: Path, on: Path) -> None:
     (recipe_dir / MANIFEST_NAME).write_text(json.dumps(doc))
 
 
+def indexed_load(root: Path) -> None:
+    """A load and graph build through the test's index, which they may write."""
+    try:
+        build_graph(load_corpus(root, root.parent / "work" / INDEX_NAME))
+    except RadeError:
+        pass
+
+
 def mutate(root: Path, op: str, pick: int, serial: int) -> None:
-    """Apply one corpus mutation to the recipe ``pick`` selects."""
+    """Apply one corpus mutation to the recipe ``pick`` selects. What leaves
+    the corpus goes to ``elsewhere``, beside it."""
     dirs = sorted(p.parent for p in root.rglob(MANIFEST_NAME))
     target = dirs[pick % len(dirs)] if dirs else None
+    elsewhere = root.parent / "elsewhere"
+    elsewhere.mkdir(exist_ok=True)
     if op == "add" or target is None:
         write_manifest_dir(root / f"new{serial}" / "1.0", f"new{serial}")
     elif op == "edit":  # same length every time: only the stat stamps differ
@@ -662,11 +772,39 @@ def mutate(root: Path, op: str, pick: int, serial: int) -> None:
         depend(target, after)
         if op == "cycle":
             depend(after, target)
+    elif op == "empty_dir":
+        (target / f"empty{serial}").mkdir()
+    elif op == "stray_file":
+        (target / f"notes{serial}.txt").write_text("not a recipe file\n")
+    elif op == "rename_dir":
+        target.rename(target.parent / f"renamed{serial}")
+    elif op == "remove_tree":  # the recipe's top directory, with all it holds
+        shutil.rmtree(root / target.relative_to(root).parts[0])
+    elif op == "dir_symlink":  # the walk does not descend the link
+        moved = elsewhere / f"moved{serial}"
+        target.rename(moved)
+        target.symlink_to(moved, target_is_directory=True)
+    elif op == "link_manifest":  # a link to a file that is deleted once an index trusts it
+        manifest = target / MANIFEST_NAME
+        if manifest.is_symlink():
+            linked = Path(os.readlink(manifest))
+        else:
+            linked = elsewhere / f"manifest{serial}.json"
+            manifest.rename(linked)
+            manifest.symlink_to(linked)
+        tick(root.parent)
+        indexed_load(root)
+        linked.unlink(missing_ok=True)
+    elif op == "racy":  # a load records a directory, which changes in the same clock tick
+        fresh = target / f"racy{serial}"
+        fresh.mkdir()
+        indexed_load(root)
+        write_manifest_dir(fresh, f"racy{serial}")
     else:
         (target / MANIFEST_NAME).write_text("{broken")
 
 
-@settings(derandomize=True, max_examples=20, deadline=None)
+@settings(derandomize=True, max_examples=60, deadline=None)
 @given(
     st.lists(
         st.tuples(st.sampled_from(INDEX_MUTATIONS), st.integers(0, 7), st.booleans()),

@@ -170,6 +170,41 @@ class TestTransactions:
         assert temporaries(repo) == []
         assert repo.verify().ok
 
+    def test_begin_sweeps_the_catalog_temporary_of_a_killed_publish(self, repo, tmp_path):
+        make_tree(tmp_path / "t", {"a": "content"})
+        publish = (
+            "import os, sys, time\n"
+            "from rade.repo import Repository\n"
+            "repo = Repository(sys.argv[1])\n"
+            "tx = repo.begin_transaction()\n"
+            "repo.stage(tx, sys.argv[2], 'apps', sys.argv[2])\n"
+            "replace = os.replace\n"
+            "def stalled_replace(src, dst):\n"
+            "    if str(dst).startswith(str(repo.catalogs.root)):\n"
+            "        print('writing', flush=True)\n"
+            "        time.sleep(60)\n"
+            "    replace(src, dst)\n"
+            "os.replace = stalled_replace\n"
+            "repo.publish(tx, 'job-1')\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(rade.__file__).parents[1])}
+        writer = subprocess.Popen(
+            [sys.executable, "-c", publish, str(repo.path), str(tmp_path / "t")],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            assert writer.stdout.readline() == "writing\n"
+        finally:
+            writer.kill()  # SIGKILL while the new catalog is a temporary
+            writer.wait(timeout=10)
+            writer.stdout.close()
+        [left] = temporaries(repo)
+        assert left.parent == repo.catalogs.root  # beside the shards, not in one
+        repo.abort(repo.begin_transaction(wait_s=0))
+        assert temporaries(repo) == []
+        assert repo.read_head().revision == 0
+        assert repo.verify().ok
+
     def test_publish_takes_the_head_read_under_the_lock(self, repo, tmp_path, monkeypatch):
         tree = make_tree(tmp_path / "t", {"a": "content"})
         tx = repo.begin_transaction()
